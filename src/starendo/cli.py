@@ -80,14 +80,6 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _formula_applies(n: int, cls: EndoClass) -> bool:
-    if cls is EndoClass.STRONG_WEAK_END:
-        return n >= 2
-    if cls is EndoClass.AUT:
-        return n >= 3
-    return n >= 1
-
-
 def cmd_enumerate(args, argv: list[str]) -> int:
     cls = CLASS_BY_NAME[args.cls]
     t0 = time.perf_counter()
@@ -159,9 +151,10 @@ def cmd_census(args, argv: list[str]) -> int:
     for n in range(lo, hi + 1):
         for name in CENSUS_CLASSES:
             cls = CLASS_BY_NAME[name]
-            if not _formula_applies(n, cls):
+            try:
+                formula = cardinality_formula(n, cls)
+            except ValueError:  # outside the formula's validity range
                 continue
-            formula = cardinality_formula(n, cls)
             enumerated = len(enumerate_class(n, cls, max_degree=args.budget_scan))
             match = formula == enumerated
             all_match = all_match and match
@@ -294,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="cls", choices=classes, required=True)
         p.add_argument("--json", action="store_true", help="structured report on stdout")
         p.add_argument("--budget-scan", type=int, default=8,
-                       help="largest degree the brute-force scan accepts")
+                       help="largest degree the exhaustive scan accepts")
 
-    p = sub.add_parser("enumerate", help="brute-force one endomorphism-type monoid")
+    p = sub.add_parser("enumerate", help="enumerate one endomorphism-type monoid")
     add_common(p, sorted(CLASS_BY_NAME))
     p.add_argument("--output", help="write the monoid dump to this path")
 
@@ -305,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-classes", type=int, default=10**6,
                    help="class budget for quotient enumeration")
 
-    p = sub.add_parser("census", help="closed-form sizes vs brute force over a range")
+    p = sub.add_parser("census", help="closed-form sizes vs exhaustive scan over a range")
     p.add_argument("--range", type=_parse_range, required=True, help="e.g. 3..5")
     p.add_argument("--json", action="store_true")
     p.add_argument("--budget-scan", type=int, default=8)

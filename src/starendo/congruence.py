@@ -172,9 +172,10 @@ def enumerate_quotient(
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
-    # enumeration can transiently hold an order of magnitude more classes
-    # than the final quotient before collapses land (observed ratio ~15x on
-    # the partial-transformation family), hence the generous default slack
+    # enumeration can transiently hold many more classes than the final
+    # quotient before collapses land, hence the generous default slack; it
+    # is not always enough: end_star_presentation(7) reaches 1,121,950 live
+    # classes against a final 46,662 (over 24x) and runs out of this cap
     cap = max_classes if max_classes is not None else max(24 * bound + 2048, 8192)
     table, find, live = _run_table_enumeration(len(pres.alphabet), relations, cap)
     if table is None:

@@ -10,9 +10,11 @@ checked literally over vertex pairs:
 * strong weak endomorphism: the "if and only if" variant of weak;
 * automorphism: bijective strong endomorphism.
 
-``enumerate_class`` scans all n^n maps and filters by these predicates, so
-the closed-form cardinalities and structural descriptions stay testable
-claims instead of build assumptions.
+``enumerate_class`` scans the maps that send every edge to an edge or to a
+single vertex (a superset of all five classes, built by backtracking over
+the vertices) and filters every candidate by these predicates, so the
+closed-form cardinalities and structural descriptions stay testable claims
+instead of build assumptions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -79,31 +80,65 @@ def star_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(0, i) for i in range(1, n)])
 
 
-def _adjacency(graph: SimpleGraph) -> list[list[bool]]:
+def _pair_table(graph: SimpleGraph) -> tuple[list, list, list[list[bool]]]:
+    """The edges and the non-edges as vertex pairs u < v, and the adjacency matrix."""
     n = graph.vertex_count
     adj = [[False] * n for _ in range(n)]
     for u, v in graph.edges:
         adj[u][v] = True
         adj[v][u] = True
-    return adj
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v) for u, v in pairs if adj[u][v]]
+    non_edges = [(u, v) for u, v in pairs if not adj[u][v]]
+    return edges, non_edges, adj
 
 
-def _is_endo(img: Sequence[int], edges: Sequence[tuple[int, int]], adj) -> bool:
-    return all(adj[img[u]][img[v]] for u, v in edges)
+_CLASS_BITS = (
+    (EndoClass.END, 1),
+    (EndoClass.WEAK_END, 2),
+    (EndoClass.STRONG_END, 4),
+    (EndoClass.STRONG_WEAK_END, 8),
+    (EndoClass.AUT, 16),
+)
+_MEMBERSHIP_SETS = tuple(
+    frozenset(c for c, bit in _CLASS_BITS if mask & bit) for mask in range(32)
+)
 
 
-def _is_weak_endo(img: Sequence[int], edges: Sequence[tuple[int, int]], adj) -> bool:
-    return all(img[u] == img[v] or adj[img[u]][img[v]] for u, v in edges)
+def _memberships(
+    img: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    non_edges: Sequence[tuple[int, int]],
+    adj: Sequence[Sequence[bool]],
+) -> frozenset[EndoClass]:
+    """The classes of the map ``img``, from the literal definitions in one pass.
 
-
-def _is_strong_endo(img: Sequence[int], pairs: Sequence[tuple[int, int]], adj) -> bool:
-    return all(adj[u][v] == adj[img[u]][img[v]] for u, v in pairs)
-
-
-def _is_strong_weak_endo(img: Sequence[int], pairs: Sequence[tuple[int, int]], adj) -> bool:
-    return all(
-        (adj[u][v] and img[u] != img[v]) == adj[img[u]][img[v]] for u, v in pairs
-    )
+    The pass visits each vertex pair at most once, edges first, and judges
+    it against all four definitions at once.  An edge sent to a non-edge
+    breaks all four when its endpoints stay distinct, so the pass stops
+    there; when they collapse it breaks only the endomorphism and strong
+    endomorphism conditions.  A non-edge sent to an edge breaks the strong
+    and strong weak conditions, after which no further non-edge can change
+    the answer.  A pair that keeps its adjacency breaks nothing.  So the
+    weak condition holds whenever the edges pass completes, and
+    automorphisms are the bijective strong endomorphisms.
+    """
+    endo = True
+    for u, v in edges:
+        x = img[u]
+        y = img[v]
+        if not adj[x][y]:
+            if x != y:
+                return _MEMBERSHIP_SETS[0]
+            endo = False
+    non_edges_kept = True
+    for u, v in non_edges:
+        if adj[img[u]][img[v]]:
+            non_edges_kept = False
+            break
+    strong = endo and non_edges_kept
+    aut = strong and len(set(img)) == len(img)
+    return _MEMBERSHIP_SETS[2 | endo | strong << 2 | non_edges_kept << 3 | aut << 4]
 
 
 def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
@@ -111,51 +146,57 @@ def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     n = graph.vertex_count
     if f.degree != n:
         raise ValueError(f"degree mismatch: map has degree {f.degree}, graph has {n}")
-    adj = _adjacency(graph)
-    edges = sorted(graph.edges)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    img = f.images
-    out = set()
-    if _is_endo(img, edges, adj):
-        out.add(EndoClass.END)
-    if _is_weak_endo(img, edges, adj):
-        out.add(EndoClass.WEAK_END)
-    strong = _is_strong_endo(img, pairs, adj)
-    if strong:
-        out.add(EndoClass.STRONG_END)
-    if _is_strong_weak_endo(img, pairs, adj):
-        out.add(EndoClass.STRONG_WEAK_END)
-    if strong and len(set(img)) == n:
-        out.add(EndoClass.AUT)
-    return frozenset(out)
+    return _memberships(f.images, *_pair_table(graph))
+
+
+def _edge_constrained_maps(graph: SimpleGraph) -> list[tuple[int, ...]]:
+    """Every map sending each edge to an edge or a single vertex, in lex order.
+
+    Vertices are assigned in the order 0, ..., n-1; for each edge (u, v)
+    with u < v the image of v is restricted to the image of u and its
+    neighbours.  Every map in the five classes is a weak endomorphism and
+    so survives this restriction.
+    """
+    n = graph.vertex_count
+    closed = [{x} for x in range(n)]
+    for u, v in graph.edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    options = [tuple(sorted(c)) for c in closed]
+    maps: list[tuple[int, ...]] = [()]
+    for v in range(n):
+        earlier = [u for u in range(v) if graph.has_edge(u, v)]
+        if not earlier:
+            maps = [m + (x,) for m in maps for x in range(n)]
+            continue
+        first, rest = earlier[0], earlier[1:]
+        maps = [
+            m + (x,)
+            for m in maps
+            for x in options[m[first]]
+            if not rest or all(x in closed[m[u]] for u in rest)
+        ]
+    return maps
+
+
+def _graph_census(graph: SimpleGraph) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
+    """The maps of each class on ``graph``, in lex order.
+
+    The edge-constrained scan proposes candidates; the literal definitions
+    decide membership of every one of them.
+    """
+    edges, non_edges, adj = _pair_table(graph)
+    out: dict[EndoClass, list[tuple[int, ...]]] = {c: [] for c in EndoClass}
+    for img in _edge_constrained_maps(graph):
+        for c in _memberships(img, edges, non_edges, adj):
+            out[c].append(img)
+    return {c: tuple(v) for c, v in out.items()}
 
 
 @functools.lru_cache(maxsize=None)
 def _class_census(n: int) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
-    """Scan all n^n maps once; bucket the image tuples by class, in lex order.
-
-    Weak endomorphism contains all five classes, so maps failing it are
-    skipped early; the predicates themselves are the literal definitions.
-    """
-    graph = star_graph(n)
-    adj = _adjacency(graph)
-    edges = sorted(graph.edges)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    out: dict[EndoClass, list[tuple[int, ...]]] = {c: [] for c in EndoClass}
-    for img in product(range(n), repeat=n):
-        if not _is_weak_endo(img, edges, adj):
-            continue
-        out[EndoClass.WEAK_END].append(img)
-        if _is_endo(img, edges, adj):
-            out[EndoClass.END].append(img)
-        strong = _is_strong_endo(img, pairs, adj)
-        if strong:
-            out[EndoClass.STRONG_END].append(img)
-        if _is_strong_weak_endo(img, pairs, adj):
-            out[EndoClass.STRONG_WEAK_END].append(img)
-        if strong and len(set(img)) == n:
-            out[EndoClass.AUT].append(img)
-    return {c: tuple(v) for c, v in out.items()}
+    """The census of the star with n vertices, scanned once per degree."""
+    return _graph_census(star_graph(n))
 
 
 def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:
@@ -221,8 +262,9 @@ def enumerate_class(
 ) -> TransformationMonoid:
     """All transformations of degree n in the given class, in lex order.
 
-    Brute force over all n^n maps; refuses degrees above ``max_degree``
-    (default 8) to keep default runs bounded.
+    An edge-constrained scan with the literal predicates as final filter;
+    refuses degrees above ``max_degree`` (default 8) to keep default runs
+    bounded.  Witness words and the Cayley table are built on first use.
     """
     if n < 1:
         raise ValueError(f"invalid degree {n}")

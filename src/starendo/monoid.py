@@ -13,70 +13,67 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .transform import Transformation, _compose_images, identity
+from .transform import Transformation, _compose_images, _left_factor
 
 Word = tuple[str, ...]
 
 DEFAULT_ELEMENT_BUDGET = 10**6
 
 
-def _bfs_closure(
+def _closure(
     degree: int,
     gen_images: Sequence[tuple[int, ...]],
-    max_elements: int,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[list[int]]]:
-    """Breadth-first closure on raw image tuples.
+    cap: int,
+    *,
+    structure: bool = False,
+) -> Optional[tuple[list, Optional[list], Optional[list]]]:
+    """Breadth-first closure on raw image tuples, or None past ``cap`` elements.
 
-    Returns (elements in discovery order, witness words as tuples of
-    generator indices, right Cayley rows).  Element 0 is the identity with
-    the empty witness word.
+    Returns (elements in discovery order, witness words, right Cayley rows).
+    Element 0 is the identity.  With ``structure`` the witness words (tuples
+    of generator indices, the empty word for the identity) and the Cayley
+    rows are recorded on the way; without it both are None and the loop
+    only collects the element set.
     """
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    words: list[tuple[int, ...]] = [()]
-    cayley: list[list[int]] = []
-    i = 0
-    while i < len(elements):
-        f = elements[i]
-        row = []
+    words: Optional[list[tuple[int, ...]]] = [()] if structure else None
+    flat: Optional[list[int]] = [] if structure else None
+    for i, f in enumerate(elements):  # grows while it is walked: breadth-first
+        times_f = _left_factor(f)
         for j, g in enumerate(gen_images):
-            h = tuple(map(g.__getitem__, f))
+            h = times_f(g)
             k = index.get(h)
             if k is None:
-                if len(elements) >= max_elements:
-                    raise BudgetExceededError(
-                        f"monoid closure exceeded element budget {max_elements}"
-                    )
-                k = len(elements)
-                index[h] = k
+                if len(elements) >= cap:
+                    return None
+                k = index[h] = len(elements)
                 elements.append(h)
-                words.append(words[i] + (j,))
-            row.append(k)
-        cayley.append(row)
-        i += 1
-    return elements, words, cayley
+                if words is not None:
+                    words.append(words[i] + (j,))
+            if flat is not None:
+                flat.append(k)
+    if flat is None:
+        return elements, None, None
+    r = len(gen_images)
+    return elements, words, [flat[i * r : (i + 1) * r] for i in range(len(elements))]
 
 
-def _closure_set_capped(
-    gen_images: Sequence[tuple[int, ...]], degree: int, cap: int
-) -> Optional[set[tuple[int, ...]]]:
-    """Closure as a set, or None as soon as it grows past ``cap`` elements."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gen_images:
-                h = tuple(map(g.__getitem__, f))
-                if h not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(h)
-                    new.append(h)
-        frontier = new
-    return seen
+def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
+    """True iff the closure of the given maps has exactly ``size`` elements."""
+    found = _closure(degree, gen_images, size)
+    return found is not None and len(found[0]) == size
+
+
+def _closure_within_budget(
+    degree: int, gen_images: Sequence[tuple[int, ...]], max_elements: int, *, structure: bool
+):
+    """:func:`_closure`, raising BudgetExceededError past ``max_elements``."""
+    result = _closure(degree, gen_images, max_elements, structure=structure)
+    if result is None:
+        raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
+    return result
 
 
 class TransformationMonoid:
@@ -85,7 +82,9 @@ class TransformationMonoid:
     Fields: ``elements`` (canonically ordered), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
-    index of the product.
+    index of the product.  When the words and the table are not given they
+    are computed from the generators on first access and then kept; the
+    generators must then generate exactly ``elements``.
     """
 
     def __init__(
@@ -94,18 +93,58 @@ class TransformationMonoid:
         elements: Sequence[Transformation],
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
-        witness_words: Sequence[Word],
-        right_cayley: Sequence[Sequence[int]],
+        witness_words: Optional[Sequence[Word]] = None,
+        right_cayley: Optional[Sequence[Sequence[int]]] = None,
     ):
+        if (witness_words is None) != (right_cayley is None):
+            raise ValueError("give both witness words and the Cayley table, or neither")
         self.degree = degree
         self.elements = tuple(elements)
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
-        self.witness_words = tuple(tuple(w) for w in witness_words)
-        self.right_cayley = tuple(tuple(row) for row in right_cayley)
+        self._words: Optional[tuple[Word, ...]] = None
+        self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
+        if witness_words is not None:
+            self._words = tuple(tuple(w) for w in witness_words)
+            self._cayley = tuple(tuple(row) for row in right_cayley)
         self._index = {t.images: i for i, t in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
+
+    @property
+    def witness_words(self) -> tuple[Word, ...]:
+        if self._words is None:
+            self._build_structure()
+        return self._words
+
+    @property
+    def right_cayley(self) -> tuple[tuple[int, ...], ...]:
+        if self._cayley is None:
+            self._build_structure()
+        return self._cayley
+
+    def _build_structure(self) -> None:
+        """Shortlex witness words and right Cayley rows, in element order.
+
+        One structure-recording closure from the identity (Froidure-Pin
+        style), then its discovery order is mapped onto ``elements``.
+        """
+        n = len(self.elements)
+        found = _closure(
+            self.degree, [t.images for t in self.generators], n, structure=True
+        )
+        # discovery index -> element index
+        perm = None if found is None else [self._index.get(e) for e in found[0]]
+        if perm is None or len(perm) != n or None in perm:
+            raise ValueError("generators do not generate the element set")
+        _, words, cayley = found
+        words_out: list[Word] = [()] * n
+        cayley_out: list[tuple[int, ...]] = [()] * n
+        names = self.generator_names
+        for i, p in enumerate(perm):
+            words_out[p] = tuple(names[j] for j in words[i])
+            cayley_out[p] = tuple(perm[k] for k in cayley[i])
+        self._words, self._cayley = tuple(words_out), tuple(cayley_out)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -148,7 +187,9 @@ class TransformationMonoid:
         for t in gens:
             if t.degree != degree:
                 raise ValueError("generators must share one degree")
-        elems, words, cayley = _bfs_closure(degree, [t.images for t in gens], max_elements)
+        elems, words, cayley = _closure_within_budget(
+            degree, [t.images for t in gens], max_elements, structure=True
+        )
         return cls(
             degree,
             [Transformation(e) for e in elems],
@@ -168,44 +209,28 @@ class TransformationMonoid:
     ) -> "TransformationMonoid":
         """Package a known element set in lexicographic order.
 
-        The named generators must generate exactly the given set; witness
-        words and the Cayley table are recomputed against them.  An empty
-        generator list is allowed only for the trivial monoid.
+        The named generators must generate exactly the given set; this is
+        checked here, by a closure that collects elements only.  Witness
+        words and the Cayley table against these generators are built on
+        first access.  The given ``Transformation`` objects are kept, not
+        rebuilt.  An empty generator list generates only the trivial
+        monoid.
         """
-        elems = sorted({t.images for t in elements})
-        if not elems:
+        by_images = {t.images: t for t in elements}
+        if not by_images:
             raise ValueError("element set is empty")
+        elems = sorted(by_images)
         degree = len(elems[0])
         if any(len(e) != degree for e in elems):
             raise ValueError("elements must share one degree")
-        if not named_generators:
-            if elems != [tuple(range(degree))]:
-                raise ValueError("no generators given for a nontrivial element set")
-            return cls(degree, [identity(degree)], (), (), [()], [()])
-
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
-        discovered, words, cayley = _bfs_closure(
-            degree, [t.images for t in gens], max_elements
+        discovered, _, _ = _closure_within_budget(
+            degree, [t.images for t in gens], max_elements, structure=False
         )
-        if sorted(discovered) != elems:
+        if len(discovered) != len(elems) or not all(map(by_images.__contains__, discovered)):
             raise ValueError("generators do not generate the given element set")
-        pos = {e: i for i, e in enumerate(elems)}
-        perm = [pos[e] for e in discovered]  # discovery index -> lex index
-        n = len(elems)
-        words_lex: list[tuple[int, ...]] = [()] * n
-        cayley_lex: list[list[int]] = [[]] * n
-        for i, e in enumerate(discovered):
-            words_lex[perm[i]] = words[i]
-            cayley_lex[perm[i]] = [perm[k] for k in cayley[i]]
-        return cls(
-            degree,
-            [Transformation(e) for e in elems],
-            names,
-            gens,
-            [tuple(names[j] for j in w) for w in words_lex],
-            cayley_lex,
-        )
+        return cls(degree, [by_images[e] for e in elems], names, gens)
 
 
 def generate(
@@ -239,8 +264,7 @@ def is_generating_set(
         raise ValueError("degree mismatch with target monoid")
     if any(t not in target for t in gens):
         return False
-    closure = _closure_set_capped([t.images for t in gens], target.degree, len(target))
-    return closure is not None and len(closure) == len(target)
+    return _generates_exactly(target.degree, [t.images for t in gens], len(target))
 
 
 def evaluate_word(
@@ -287,8 +311,7 @@ def _generating_unit_subsets(
         return [()] if len(unit_group) == 1 else []
     out = []
     for su in combinations(units_pool, size):
-        closure = _closure_set_capped(su, degree, len(unit_group))
-        if closure is not None and len(closure) == len(unit_group):
+        if _generates_exactly(degree, su, len(unit_group)):
             out.append(su)
     return out
 
@@ -366,8 +389,7 @@ def rank_exact(
                     checks += 1
                     if checks % 256 == 0 and time.monotonic() > deadline:
                         return None
-                    closure = _closure_set_capped(su + sn, degree, target_size)
-                    if closure is not None and len(closure) == target_size:
+                    if _generates_exactly(degree, su + sn, target_size):
                         return k
     return None
 

@@ -14,12 +14,25 @@ through :func:`compose`/:func:`power`.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, Iterator
 
 
 def _compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     # left-to-right on raw image tuples; hot path for the closure engines
     return tuple(map(g.__getitem__, f))
+
+
+def _left_factor(f: tuple[int, ...]):
+    """The map g -> f * g on raw image tuples, for a fixed first factor ``f``.
+
+    One C-level call per product; the closure engine builds it once per
+    element and applies it to every generator.
+    """
+    if len(f) == 1:
+        only = f[0]
+        return lambda g: (g[only],)
+    return operator.itemgetter(*f)
 
 
 @functools.total_ordering

@@ -103,6 +103,22 @@ class TestCensus:
         body = out.splitlines()[1:]
         assert body == ["1,end,1,1,true", "1,wend,1,1,true"]
 
+    def test_rows_skip_classes_outside_formula_range(self, capsys):
+        # swend starts at n=2 and aut at n=3, where their closed forms apply
+        code, out, _ = run(capsys, "census", "--range", "1..3")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "1,end,1,1,true",
+            "1,wend,1,1,true",
+            "2,end,2,2,true",
+            "2,swend,4,4,true",
+            "2,wend,4,4,true",
+            "3,end,6,6,true",
+            "3,swend,9,9,true",
+            "3,wend,17,17,true",
+            "3,aut,2,2,true",
+        ]
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "census", "--range", "3..4")
         _, out2, _ = run(capsys, "census", "--range", "3..4")

@@ -15,6 +15,7 @@ from starendo import (
     standard_generators,
     star_graph,
 )
+from starendo.graphs import _graph_census
 
 END = EndoClass.END
 WEND = EndoClass.WEAK_END
@@ -108,6 +109,61 @@ class TestClassify:
         assert classify(Transformation((1, 2, 0)), g) == frozenset(EndoClass)
         got = classify(Transformation((0, 0, 2)), g)
         assert END not in got and WEND in got
+
+
+def literal_classes(img, g):
+    """The five definitions written out separately, as an oracle for ``classify``."""
+    n = g.vertex_count
+    adj = g.has_edge
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = set()
+    if all(adj(img[u], img[v]) for u, v in g.edges):
+        out.add(END)
+    if all(img[u] == img[v] or adj(img[u], img[v]) for u, v in g.edges):
+        out.add(WEND)
+    strong = all(adj(u, v) == adj(img[u], img[v]) for u, v in pairs)
+    if strong:
+        out.add(SEND)
+    if all((adj(u, v) and img[u] != img[v]) == adj(img[u], img[v]) for u, v in pairs):
+        out.add(SWEND)
+    if strong and len(set(img)) == n:
+        out.add(AUT)
+    return frozenset(out)
+
+
+SMALL_GRAPHS = {
+    "path P4": SimpleGraph(4, [(0, 1), (1, 2), (2, 3)]),
+    "triangle": SimpleGraph(3, [(0, 1), (1, 2), (0, 2)]),
+    "3 isolated vertices": SimpleGraph(3, []),
+    "4-cycle": SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "star with a pendant path": SimpleGraph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+}
+
+
+class TestPredicateDispatch:
+    def test_matches_separate_definitions(self):
+        graphs = [star_graph(n) for n in range(1, 6)] + list(SMALL_GRAPHS.values())
+        for g in graphs:
+            n = g.vertex_count
+            for img in product(range(n), repeat=n):
+                assert classify(Transformation(img), g) == literal_classes(img, g), (g, img)
+
+
+def brute_force_census(g):
+    """Literal ``classify`` filter over all n^n maps, per class, in lex order."""
+    n = g.vertex_count
+    maps = [(img, classify(Transformation(img), g)) for img in product(range(n), repeat=n)]
+    return {c: tuple(img for img, got in maps if c in got) for c in EndoClass}
+
+
+class TestEdgeConstrainedScan:
+    def test_star_matches_brute_force(self):
+        for n in range(1, 7):
+            assert _graph_census(star_graph(n)) == brute_force_census(star_graph(n)), n
+
+    def test_non_star_graphs_match_brute_force(self):
+        for name, g in SMALL_GRAPHS.items():
+            assert _graph_census(g) == brute_force_census(g), name
 
 
 class TestEnumerate:

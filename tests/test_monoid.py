@@ -123,6 +123,40 @@ class TestFromElements:
         with pytest.raises(ValueError):
             TransformationMonoid.from_elements(elems, [("a0", Transformation((0, 2, 1, 3)))])
 
+    def test_element_budget_below_set_size(self):
+        elems = list(enumerate_class(4, EndoClass.END).elements)
+        gens = standard_generators(4, EndoClass.END)
+        with pytest.raises(BudgetExceededError):
+            TransformationMonoid.from_elements(elems, gens, max_elements=len(elems) - 1)
+        assert len(TransformationMonoid.from_elements(elems, gens, max_elements=len(elems))) == 30
+
+    def test_structure_built_on_first_access(self):
+        m = enumerate_class(4, EndoClass.WEAK_END)
+        assert m._words is None and m._cayley is None
+        words = m.witness_words
+        assert m._cayley is not None
+        assert m.witness_words is words
+
+    def test_words_match_generated_closure(self):
+        # the same shortlex words as the discovery-order closure, element by element
+        cases = [(4, EndoClass.END), (4, EndoClass.WEAK_END), (3, EndoClass.STRONG_WEAK_END)]
+        for n, cls in cases:
+            lex = enumerate_class(n, cls)
+            bfs = generate(list(zip(lex.generator_names, lex.generators)))
+            assert set(lex.elements) == set(bfs.elements)
+            for i, t in enumerate(bfs.elements):
+                j = lex.index_of(t)
+                assert lex.witness_words[j] == bfs.witness_words[i]
+                assert [lex.elements[k] for k in lex.right_cayley[j]] == [
+                    bfs.elements[k] for k in bfs.right_cayley[i]
+                ]
+
+    def test_keeps_the_given_objects(self):
+        elems = list(enumerate_class(3, EndoClass.END).elements)
+        gens = standard_generators(3, EndoClass.END)
+        m = TransformationMonoid.from_elements(reversed(elems), gens)
+        assert all(a is b for a, b in zip(m.elements, elems))
+
     def test_trivial_monoid_without_generators(self):
         m = TransformationMonoid.from_elements([identity(5)], [])
         assert len(m) == 1
