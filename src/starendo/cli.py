@@ -188,16 +188,12 @@ def cmd_rank(args, argv: list[str]) -> int:
     cls = CLASS_BY_NAME[args.cls]
     t0 = time.perf_counter()
     target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
-    started = time.monotonic()
-    rank = rank_exact(target, args.max_k, time_budget_s=args.budget_seconds)
-    budget_hit = rank is None and (time.monotonic() - started) >= args.budget_seconds
+    try:
+        rank = rank_exact(target, args.max_k, time_budget_s=args.budget_seconds)
+        verdict = "exact" if rank is not None else "unknown-no-subset"
+    except BudgetExceededError:
+        rank, verdict = None, "unknown-budget"
     elapsed = (time.perf_counter() - t0) * 1000.0
-    if rank is not None:
-        verdict = "exact"
-    elif budget_hit:
-        verdict = "unknown-budget"
-    else:
-        verdict = "unknown-no-subset"
     results = {
         "degree": args.n,
         "class": args.cls,
@@ -304,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-scan", type=int, default=8)
     p.add_argument("--output", help="write the CSV to this path")
 
-    p = sub.add_parser("rank", help="minimum generating set size by exhaustive search")
+    p = sub.add_parser("rank", help="minimum generating set size, one J-class at a time")
     add_common(p, sorted(CLASS_BY_NAME))
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--budget-seconds", type=float, default=600.0)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
-from .transform import Transformation, _compose_images
+from .transform import Transformation, _compose_images, is_idempotent
 
 DEFAULT_SCAN_DEGREE = 8
 
@@ -313,4 +313,14 @@ def is_regular_element(f: Transformation, monoid: TransformationMonoid) -> bool:
 
 
 def is_regular_monoid(monoid: TransformationMonoid) -> bool:
-    return all(is_regular_element(f, monoid) for f in monoid.elements)
+    """True iff every J-class holds an idempotent.
+
+    In a finite monoid J = D, and a D-class either holds an idempotent and
+    consists of regular elements or holds no regular element at all.
+    Raises ValueError when the generators do not generate the elements.
+    """
+    elements = monoid.elements
+    return all(
+        any(is_idempotent(elements[x]) for x in members)
+        for members in monoid._j_classes().classes
+    )

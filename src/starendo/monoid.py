@@ -4,13 +4,19 @@ The closure enumeration is breadth-first from the identity: elements are
 discovered in shortlex order of their witness words (shorter words first,
 generator-list order breaking ties), which makes element order, witness
 words and the right Cayley table fully deterministic.
+
+Regularity and rank are decided per J-class.  Two elements are
+J-related when each is a two-sided multiple of the other; the J-classes are
+the strongly connected components of the graph with edges x -> x*g and
+x -> g*x over the generators, and x lies J-above y when y is reachable
+from x.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .transform import Transformation, _compose_images, _left_factor
@@ -76,6 +82,66 @@ def _closure_within_budget(
     return result
 
 
+class _JClasses(NamedTuple):
+    """The J-classes of a monoid, each listed after every class above it.
+
+    ``classes[c]`` holds element indices, ``class_of[x]`` is the class of
+    element ``x`` and bit ``d`` of ``above[c]`` is set when class ``d`` lies
+    strictly J-above class ``c``.  Class 0 is the group of units.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+    above: tuple[int, ...]
+
+
+def _strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components, iteratively.
+
+    A component is emitted only after every component it reaches.
+    """
+    order = [-1] * len(successors)
+    low = [0] * len(successors)
+    on_stack = [False] * len(successors)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(len(successors)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append((w, iter(successors[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
 class TransformationMonoid:
     """An enumerated monoid of transformations with generator metadata.
 
@@ -104,6 +170,7 @@ class TransformationMonoid:
         self.generators = tuple(generators)
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
+        self._jclasses: Optional[_JClasses] = None
         if witness_words is not None:
             self._words = tuple(tuple(w) for w in witness_words)
             self._cayley = tuple(tuple(row) for row in right_cayley)
@@ -145,6 +212,39 @@ class TransformationMonoid:
             words_out[p] = tuple(names[j] for j in words[i])
             cayley_out[p] = tuple(perm[k] for k in cayley[i])
         self._words, self._cayley = tuple(words_out), tuple(cayley_out)
+
+    def _j_classes(self) -> _JClasses:
+        """The J-classes, computed on first use from the right Cayley table
+        and a left table, then kept.
+
+        Raises ValueError when the generators do not generate the elements.
+        """
+        if self._jclasses is None:
+            images = [t.images for t in self.elements]
+            left_columns = [  # column j: x -> g_j * x
+                list(map(self._index.get, map(_left_factor(g.images), images)))
+                for g in self.generators
+            ]
+            if any(None in column for column in left_columns):
+                raise ValueError("elements are not closed under the generators")
+            successors = [
+                row + left for row, left in zip(self.right_cayley, zip(*left_columns))
+            ] if left_columns else list(self.right_cayley)
+            components = _strong_components(successors)[::-1]  # top down
+            class_of = [0] * len(images)
+            for c, members in enumerate(components):
+                for x in members:
+                    class_of[x] = c
+            above = [0] * len(components)
+            for c, members in enumerate(components):  # every class above c comes first
+                reached = set(map(class_of.__getitem__,
+                                  chain.from_iterable(map(successors.__getitem__, members))))
+                for d in reached - {c}:
+                    above[d] |= above[c] | (1 << c)
+            self._jclasses = _JClasses(
+                tuple(tuple(sorted(m)) for m in components), tuple(class_of), tuple(above)
+            )
+        return self._jclasses
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -300,22 +400,6 @@ def check_relation(
     return evaluate_word(assignment, lhs) == evaluate_word(assignment, rhs)
 
 
-def _generating_unit_subsets(
-    units_pool: Sequence[tuple[int, ...]],
-    unit_group: frozenset[tuple[int, ...]],
-    size: int,
-    degree: int,
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Subsets of the unit pool of the given size whose closure is the whole unit group."""
-    if size == 0:
-        return [()] if len(unit_group) == 1 else []
-    out = []
-    for su in combinations(units_pool, size):
-        if _generates_exactly(degree, su, len(unit_group)):
-            out.append(su)
-    return out
-
-
 def rank_exact(
     target: TransformationMonoid,
     max_subset_size: int,
@@ -323,74 +407,129 @@ def rank_exact(
     *,
     time_budget_s: float = 600.0,
 ) -> Optional[int]:
-    """Smallest k <= max_subset_size such that some k-subset generates the target.
+    """Smallest k <= max_subset_size such that some k-subset of the pool generates the target.
 
-    Exhaustive subset search with two sound prunes:
+    The search runs one J-class at a time, from the top down, on the identity
+    rank(M) = sum of r_J over the J-classes J of M, where r_J is the fewest
+    elements of J (from the pool) that together with the sets already chosen
+    for the classes above J generate all of J:
 
-    * unit-group pruning: a product of transformations is a permutation only
-      if every factor is, so the permutation members of a generating set
-      must generate the target's group of units;
-    * hub pruning: products of hub-fixing maps fix the hub (vertex 0), so if
-      the target contains a map moving 0 then so must any generating set.
+    * a product lies in J only if every factor lies in J or above it, so
+      every generating set meets J in at least r_J elements;
+    * by induction from the top, the union of the chosen sets generates M.
 
-    Returns None ("unknown") when no generating subset of size
-    <= max_subset_size exists among the pruned candidates, or when the
-    wall-clock budget runs out before the search completes.
+    The pool defaults to all of the target; the identity is never needed.
+    Returns None only when it is proved that no subset of the pool of size
+    <= max_subset_size generates the target.  Raises BudgetExceededError
+    when ``time_budget_s`` runs out first, and ValueError when the pool is not
+    inside the target or the target's generators do not generate it.
     """
-    degree = target.degree
-    ident = tuple(range(degree))
-    target_images = [t.images for t in target.elements]
-
-    if candidate_pool is None:
-        pool = [im for im in target_images if im != ident]
-    else:
-        pool = []
-        for t in candidate_pool:
-            if t not in target:
-                raise ValueError("candidate pool must be a subset of the target monoid")
-            if t.images != ident:
-                pool.append(t.images)
-        pool = sorted(set(pool))
-
-    if len(target) == 1:
-        return 0 if max_subset_size >= 0 else None
-
-    unit_group = frozenset(im for im in target_images if len(set(im)) == degree)
-    units_pool = sorted(im for im in pool if len(set(im)) == degree)
-    nonunits_pool = sorted(im for im in pool if len(set(im)) < degree)
-    needs_hub_mover = any(im[0] != 0 for im in target_images)
-    target_size = len(target)
-    is_group = len(unit_group) == target_size
-
     deadline = time.monotonic() + time_budget_s
-    unit_subset_cache: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
-    checks = 0
+    green = target._j_classes()
+    index = target._index
+    if candidate_pool is None:
+        pool = set(range(len(target)))
+    else:
+        if any(t not in target for t in candidate_pool):
+            raise ValueError("candidate pool must be a subset of the target monoid")
+        pool = {index[t.images] for t in candidate_pool}
+    ident = tuple(range(target.degree))
+    pool.discard(index[ident])
+    if max_subset_size < 0:
+        return None
 
-    for k in range(1, max_subset_size + 1):
-        for j in range(0, min(k, len(units_pool)) + 1):
-            if j not in unit_subset_cache:
-                unit_subset_cache[j] = _generating_unit_subsets(
-                    units_pool, unit_group, j, degree
-                )
-            unit_subsets = unit_subset_cache[j]
-            if not unit_subsets:
-                continue
-            r = k - j
-            if r > len(nonunits_pool):
-                continue
-            if r == 0:
-                if is_group:
-                    return k
-                continue
-            for su in unit_subsets:
-                for sn in combinations(nonunits_pool, r):
-                    if needs_hub_mover and all(im[0] == 0 for im in su + sn):
-                        continue
-                    checks += 1
-                    if checks % 256 == 0 and time.monotonic() > deadline:
-                        return None
-                    if _generates_exactly(degree, su + sn, target_size):
-                        return k
+    images = [t.images for t in target.elements]
+    chosen: list[int] = []
+    generated = {ident}  # the monoid generated by ``chosen``
+    for c, members in enumerate(green.classes):
+        base = [images[x] in generated for x in members]
+        if all(base):
+            continue
+        helpers = [g for g in chosen if green.above[c] >> green.class_of[g] & 1]
+        picked = _fewest_generators_of_class(
+            target, c,
+            base=base,
+            # an element the helpers already generate adds nothing as a generator
+            candidates=[x for x, known in zip(members, base) if x in pool and not known],
+            helpers=helpers,
+            max_k=max_subset_size - len(chosen),
+            deadline=deadline,
+        )
+        if picked is None:
+            return None
+        chosen += picked
+        found = _closure(target.degree, [images[g] for g in chosen], len(target))
+        if found is None:
+            raise ValueError("elements are not closed under multiplication")
+        generated = set(found[0])
+    return len(chosen)
+
+
+def _fewest_generators_of_class(
+    target: TransformationMonoid,
+    c: int,
+    *,
+    base: Sequence[bool],
+    candidates: Sequence[int],
+    helpers: Sequence[int],
+    max_k: int,
+    deadline: float,
+) -> Optional[tuple[int, ...]]:
+    """A smallest subset A of ``candidates`` (at most ``max_k`` of them) that
+    completes J-class ``c`` of the target, or None if there is none.
+
+    ``base[i]`` says whether the class's i-th member is already generated by
+    the ``helpers``, the elements chosen for the classes above.  The members
+    generated with A are the base and the closure of A under left and right
+    multiplication by the helpers and A, kept inside the class: in a product
+    that lands in the class, every partial product containing a factor from
+    A does too.
+    """
+    if time.monotonic() > deadline:
+        raise BudgetExceededError("rank search exceeded its time budget")
+    green = target._j_classes()
+    members, class_of, index = green.classes[c], green.class_of, target._index
+    local = {x: i for i, x in enumerate(members)}
+    member_images = [target.elements[x].images for x in members]
+    times_member = [_left_factor(xi) for xi in member_images]  # y -> x*y
+
+    def steps(y: int) -> list[list[int]]:
+        """For each member x, the members among x*y and y*x."""
+        yi = target.elements[y].images
+        times_y = _left_factor(yi)
+        out = []
+        for times_x, xi in zip(times_member, member_images):
+            products = (index.get(times_x(yi)), index.get(times_y(xi)))
+            out.append([local[k] for k in products if k is not None and class_of[k] == c])
+        return out
+
+    fixed = [sum(edges, []) for edges in zip(*map(steps, helpers))] or [[] for _ in members]
+    moves: list[Optional[list[list[int]]]] = [None] * len(candidates)  # filled on first use
+    missing = base.count(False)
+    tried = 0
+    for k in range(1, min(max_k, len(candidates)) + 1):
+        for subset in combinations(range(len(candidates)), k):
+            tried += 1
+            if tried % 64 == 0 and time.monotonic() > deadline:
+                raise BudgetExceededError("rank search exceeded its time budget")
+            for s in subset:
+                if moves[s] is None:
+                    moves[s] = steps(candidates[s])
+            seen = bytearray(len(members))
+            stack = [local[candidates[s]] for s in subset]
+            unreached = missing
+            for i in stack:
+                seen[i] = 1
+                unreached -= not base[i]
+            while stack and unreached:
+                i = stack.pop()
+                for j in fixed[i] + [j for s in subset for j in moves[s][i]]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        unreached -= not base[j]
+                        stack.append(j)
+            if not unreached:
+                return tuple(candidates[s] for s in subset)
     return None
 
 

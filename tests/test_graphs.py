@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 from starendo import (
     BudgetExceededError,
     EndoClass,
@@ -9,6 +10,7 @@ from starendo import (
     cardinality_formula,
     classify,
     enumerate_class,
+    generate,
     identity,
     is_regular_element,
     is_regular_monoid,
@@ -290,3 +292,23 @@ class TestRegularity:
         m = enumerate_class(4, END)
         with pytest.raises(ValueError):
             is_regular_element(Transformation((0, 0, 0, 0)), m)
+
+    def test_nilpotent_shift_not_regular(self):
+        f = Transformation((0, 0, 1))
+        m = generate([("f", f)])
+        assert len(m) == 3
+        assert not is_regular_element(f, m)
+        assert not is_regular_monoid(m)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Transformation),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_per_j_class_matches_definition(self, gens):
+        m = generate([(f"g{i}", t) for i, t in enumerate(gens)])
+        assert is_regular_monoid(m) == all(is_regular_element(f, m) for f in m.elements)

@@ -23,13 +23,20 @@ from starendo import (
 
 
 def pairwise_closure(gens):
-    """Independent fixed-point oracle: multiply all pairs until stable."""
-    elems = {identity(gens[0].degree)} | set(gens)
-    while True:
-        new = {f * g for f in elems for g in elems} | elems
-        if new == elems:
-            return elems
-        elems = new
+    """Independent fixed-point oracle: multiply pairs until stable.
+
+    Semi-naive: each round multiplies only the pairs with a factor that was
+    new in the previous round, since every other pair was multiplied before.
+    Products are taken on image tuples by the definition (f*g)[i] = g[f[i]].
+    """
+    elems = {tuple(range(gens[0].degree))} | {t.images for t in gens}
+    new = set(elems)
+    while new:
+        products = {tuple(g[i] for i in f) for f in new for g in elems}
+        products |= {tuple(g[i] for i in f) for f in elems for g in new}
+        new = products - elems
+        elems |= new
+    return {Transformation(e) for e in elems}
 
 
 class TestGenerate:
