@@ -9,7 +9,7 @@ finitely presented quotient and matching it against the concrete monoid.
 
 __version__ = "0.1.0"
 
-from .congruence import CongruenceTable, QuotientExceeded, enumerate_quotient
+from .congruence import CongruenceTable, QuotientExceeded, QuotientStats, enumerate_quotient
 from .errors import BudgetExceededError
 from .graphs import (
     EndoClass,
@@ -68,6 +68,7 @@ __all__ = [
     "EndoClass",
     "Presentation",
     "QuotientExceeded",
+    "QuotientStats",
     "SimpleGraph",
     "Transformation",
     "TransformationMonoid",

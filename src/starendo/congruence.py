@@ -1,10 +1,12 @@
 """Class-table enumeration of a finitely presented monoid quotient.
 
 The engine keeps a right-multiplication table on congruence classes and
-grows it the way a coset enumerator does: every relation is traced from
+grows it the way an HLT coset enumerator does: every relation is traced from
 every class (filling in missing entries with fresh classes), and whenever
 the two sides of a relation land on different classes those classes are
-merged, with merges propagated through table rows until stable.  Each merge
+merged, with merges propagated through table rows until stable.  The table
+is one flat list of class numbers, and a relation's last missing entry is
+deduced rather than defined (see ``_run_table_enumeration``).  Each merge
 joins classes that provably represent congruent words, and a completed
 table that respects every relation at every class has exactly one class
 per element of the presented monoid, so the final size is exact.
@@ -16,10 +18,25 @@ representative words deterministic regardless of internal merge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 from .presentations import Presentation, Relation, Word
+
+
+@dataclass(frozen=True)
+class QuotientStats:
+    """Counters of one enumeration run.
+
+    ``classes_defined`` counts every class the table ever held (the class of
+    the empty word included), ``peak_live`` is the most classes alive at once
+    and ``coincidences`` is how many classes merges removed; the classes
+    left alive are ``classes_defined - coincidences``.
+    """
+
+    classes_defined: int
+    peak_live: int
+    coincidences: int
 
 
 @dataclass(frozen=True)
@@ -34,6 +51,7 @@ class QuotientExceeded:
 
     classes_reached: int
     completed: bool
+    stats: Optional[QuotientStats] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,7 @@ class CongruenceTable:
     size: int
     right_mult: tuple[tuple[int, ...], ...]
     representative_words: tuple[Word, ...]
+    stats: Optional[QuotientStats] = field(default=None, compare=False)
 
     def trace(self, word: Sequence[str], start: int = 0) -> int:
         """Follow ``word`` through the table from the given class."""
@@ -79,10 +98,30 @@ class CongruenceTable:
 
 
 def _run_table_enumeration(n_letters: int, relations, cap: int):
-    """Core loop; returns (table, find, live) or (None, None, live) on budget."""
-    table: list[list] = [[None] * n_letters]
+    """Core loop; returns (table, find, live, stats), table None on budget.
+
+    ``table`` is flat: entry ``c * n_letters + x`` is the class of c followed
+    by letter x, or -1 while undefined.  A relation u = v is traced from each
+    class q by following u in full and v up to its last letter; a missing
+    last entry is set to u's class directly (the deduction), where plain HLT
+    would define a fresh class there and merge it into u's class at once.
+    The fresh class would be the newest and have an empty row, so the merge
+    would only redirect it, and the live count, every later merge and the
+    completed table are the same as plain HLT's.
+    """
+    k = n_letters
+    blank = [-1] * k
+    table = [-1] * k
     parent = [0]
     live = 1
+    peak = 1
+    # v = () would leave no last letter to deduce; tracing the empty side
+    # first defines nothing, so the two sides can swap
+    rels = [
+        (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
+        for u, v in relations
+        if u or v
+    ]
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -90,69 +129,102 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
             c = parent[c]
         return c
 
-    def new_class() -> int:
-        nonlocal live
-        table.append([None] * n_letters)
-        parent.append(len(table) - 1)
-        live += 1
-        return len(table) - 1
-
-    def scan_fill(q: int, word) -> int:
-        c = q
-        for x in word:
-            c = find(c)
-            nxt = table[c][x]
-            if nxt is None:
-                nxt = new_class()
-                table[c][x] = nxt
-            c = nxt
-        return find(c)
-
     def merge(a: int, b: int) -> None:
         nonlocal live
         queue = [(a, b)]
         while queue:
             a, b = queue.pop()
-            a, b = find(a), find(b)
+            if parent[a] != a:
+                a = find(a)
+            if parent[b] != b:
+                b = find(b)
             if a == b:
                 continue
             if b < a:
                 a, b = b, a
             parent[b] = a
             live -= 1
-            row_a = table[a]
-            row_b = table[b]
-            for x in range(n_letters):
-                vb = row_b[x]
-                if vb is None:
+            ia = a * k
+            ib = b * k
+            for x in range(k):
+                vb = table[ib + x]
+                if vb < 0:
                     continue
-                va = row_a[x]
-                if va is None:
-                    row_a[x] = vb
+                va = table[ia + x]
+                if va < 0:
+                    table[ia + x] = vb
                 else:
                     queue.append((va, vb))
 
+    def stats() -> QuotientStats:
+        return QuotientStats(
+            classes_defined=len(parent),
+            peak_live=max(peak, live),
+            coincidences=len(parent) - live,
+        )
+
     q = 0
-    while q < len(table):
-        if find(q) == q:
-            for u, v in relations:
-                a = scan_fill(q, u)
-                b = scan_fill(q, v)
+    while q < len(parent):
+        if parent[q] != q:
+            q += 1
+            continue
+        for u, v_head, last in rels:
+            a = q
+            for x in u:
+                if parent[a] != a:
+                    a = find(a)
+                i = a * k + x
+                a = table[i]
+                if a < 0:
+                    a = len(parent)
+                    parent.append(a)
+                    table += blank
+                    table[i] = a
+                    live += 1
+            if parent[a] != a:
+                a = find(a)
+            b = q
+            for x in v_head:
+                if parent[b] != b:
+                    b = find(b)
+                i = b * k + x
+                b = table[i]
+                if b < 0:
+                    b = len(parent)
+                    parent.append(b)
+                    table += blank
+                    table[i] = b
+                    live += 1
+            if parent[b] != b:
+                b = find(b)
+            i = b * k + last
+            b = table[i]
+            if b < 0:
+                table[i] = a
+            else:
+                if parent[b] != b:
+                    b = find(b)
                 if a != b:
+                    if live > peak:
+                        peak = live
                     merge(a, b)
-                if live > cap:
-                    return None, None, live
-                if find(q) != q:
-                    break
-            if find(q) == q:
-                row = table[q]
-                for x in range(n_letters):
-                    if row[x] is None:
-                        row[x] = new_class()
-                if live > cap:
-                    return None, None, live
+            if live > cap:
+                return None, None, live, stats()
+            if parent[q] != q:
+                break
+        else:
+            i = q * k
+            for x in range(k):
+                if table[i + x] < 0:
+                    c = len(parent)
+                    parent.append(c)
+                    table += blank
+                    table[i + x] = c
+                    live += 1
+            if live > cap:
+                return None, None, live, stats()
         q += 1
-    return table, find, live
+    return table, find, live, stats()
 
 
 def enumerate_quotient(
@@ -173,19 +245,21 @@ def enumerate_quotient(
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
     # enumeration can transiently hold many more classes than the final
-    # quotient before collapses land, hence the generous default slack; it
-    # is not always enough: end_star_presentation(7) reaches 1,121,950 live
-    # classes against a final 46,662 (over 24x) and runs out of this cap
+    # quotient before collapses land, hence the generous default slack.
+    # Peak live classes against the final size, from QuotientStats: end n=6
+    # 55,128 / 3,130 (17.6x), wend n=6 111,781 / 7,936 (14.1x).  The slack is
+    # not always enough: end n=7 passes this cap (1,121,936 for a final
+    # 46,662) with 1,121,950 live classes and stops unfinished
     cap = max_classes if max_classes is not None else max(24 * bound + 2048, 8192)
-    table, find, live = _run_table_enumeration(len(pres.alphabet), relations, cap)
+    n_letters = len(pres.alphabet)
+    table, find, live, stats = _run_table_enumeration(n_letters, relations, cap)
     if table is None:
-        return QuotientExceeded(classes_reached=live, completed=False)
+        return QuotientExceeded(classes_reached=live, completed=False, stats=stats)
     if live > bound:
-        return QuotientExceeded(classes_reached=live, completed=True)
+        return QuotientExceeded(classes_reached=live, completed=True, stats=stats)
 
     # breadth-first renumbering from the class of the empty word; the first
     # word reaching a class in this order is its shortlex-minimal representative
-    n_letters = len(pres.alphabet)
     root = find(0)
     order = {root: 0}
     bfs = [root]
@@ -193,10 +267,10 @@ def enumerate_quotient(
     rows: list[tuple[int, ...]] = []
     i = 0
     while i < len(bfs):
-        c = bfs[i]
+        base = bfs[i] * n_letters
         row = []
         for x in range(n_letters):
-            d = find(table[c][x])
+            d = find(table[base + x])
             if d not in order:
                 order[d] = len(bfs)
                 bfs.append(d)
@@ -213,6 +287,7 @@ def enumerate_quotient(
         size=live,
         right_mult=tuple(rows),
         representative_words=tuple(reps),
+        stats=stats,
     )
     result.check(pres.relations)
     return result

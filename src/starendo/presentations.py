@@ -84,34 +84,42 @@ def sym_presentation(n: int) -> Presentation:
     return Presentation(("a", "b"), _moore_relations(("a",), ("b",), n))
 
 
-def full_transf_presentation(n: int) -> Presentation:
-    """Presentation of the full transformation monoid on n points, letters a, b, e."""
-    if n < 3:
-        raise ValueError(f"full transformation presentation needs n >= 3, got {n}")
-    a, b, e = ("a",), ("b",), ("e",)
-    rels = _moore_relations(a, b, n)
+def _idempotent_relations(a: Word, b: Word, e: Word, n: int) -> list[Relation]:
+    """Relations tying the rank n-1 idempotent e to the Moore generators (a, b).
+
+    Shared by the full and the partial transformation presentations.
+    """
     if n == 3:
-        rels += _chain(
+        rels = _chain(
             a + e,
             b + a + b * 2 + a + b + e + b * 2 + a + b + a + b * 2,
             (e + b + a + b * 2) * 2,
             e,
         )
         rels += _chain((b * 2 + a + b + e) * 2, e + b * 2 + a + b + e, (e + b * 2 + a + b) * 2)
-    else:
-        rels += _chain(
-            a + e,
-            b * (n - 2) + a + b * 2 + e + b * (n - 2) + a + b * 2,
-            b + a + b * (n - 1) + a + b + e + b * (n - 1) + a + b + a + b * (n - 1),
-            (e + b + a + b * (n - 1)) * 2,
-            e,
-        )
-        rels += _chain(
-            (b * (n - 1) + a + b + e) * 2,
-            e + b * (n - 1) + a + b + e,
-            (e + b * (n - 1) + a + b) * 2,
-        )
-        rels.append(((e + b + a + b * (n - 2) + a + b) * 2, (b + a + b * (n - 2) + a + b + e) * 2))
+        return rels
+    rels = _chain(
+        a + e,
+        b * (n - 2) + a + b * 2 + e + b * (n - 2) + a + b * 2,
+        b + a + b * (n - 1) + a + b + e + b * (n - 1) + a + b + a + b * (n - 1),
+        (e + b + a + b * (n - 1)) * 2,
+        e,
+    )
+    rels += _chain(
+        (b * (n - 1) + a + b + e) * 2,
+        e + b * (n - 1) + a + b + e,
+        (e + b * (n - 1) + a + b) * 2,
+    )
+    rels.append(((e + b + a + b * (n - 2) + a + b) * 2, (b + a + b * (n - 2) + a + b + e) * 2))
+    return rels
+
+
+def full_transf_presentation(n: int) -> Presentation:
+    """Presentation of the full transformation monoid on n points, letters a, b, e."""
+    if n < 3:
+        raise ValueError(f"full transformation presentation needs n >= 3, got {n}")
+    a, b, e = ("a",), ("b",), ("e",)
+    rels = _moore_relations(a, b, n) + _idempotent_relations(a, b, e, n)
     return Presentation(("a", "b", "e"), rels)
 
 
@@ -128,28 +136,7 @@ def partial_transf_presentation(n: int) -> Presentation:
         c * 2,
     )
     rels += _chain((c + a) * 2, c + a + c, (a + c) * 2)
-    if n == 3:
-        rels += _chain(
-            a + e,
-            b + a + b * 2 + a + b + e + b * 2 + a + b + a + b * 2,
-            (e + b + a + b * 2) * 2,
-            e,
-        )
-        rels += _chain((b * 2 + a + b + e) * 2, e + b * 2 + a + b + e, (e + b * 2 + a + b) * 2)
-    else:
-        rels += _chain(
-            a + e,
-            b * (n - 2) + a + b * 2 + e + b * (n - 2) + a + b * 2,
-            b + a + b * (n - 1) + a + b + e + b * (n - 1) + a + b + a + b * (n - 1),
-            (e + b + a + b * (n - 1)) * 2,
-            e,
-        )
-        rels += _chain(
-            (b * (n - 1) + a + b + e) * 2,
-            e + b * (n - 1) + a + b + e,
-            (e + b * (n - 1) + a + b) * 2,
-        )
-        rels.append(((e + b + a + b * (n - 2) + a + b) * 2, (b + a + b * (n - 2) + a + b + e) * 2))
+    rels += _idempotent_relations(a, b, e, n)
     w = a + b * (n - 1) + a + b + a
     rels += [
         (e + c, c + a + c),
@@ -236,9 +223,34 @@ def presentation_to_json(pres: Presentation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_word(value: object, where: str) -> Word:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list of letters, got {type(value).__name__}")
+    for x in value:
+        if not isinstance(x, str):
+            raise ValueError(f"{where}: letter {x!r} is not a string")
+    return tuple(value)
+
+
 def presentation_from_json(text: str) -> Presentation:
-    """Parse the structured text format produced by :func:`presentation_to_json`."""
+    """Parse the structured text format produced by :func:`presentation_to_json`.
+
+    Malformed documents raise ``ValueError``: invalid JSON, a document that
+    is not an object, missing keys, words that are not lists, letters that
+    are not strings, or relations that are not pairs of words.
+    """
     doc = json.loads(text)
-    alphabet = tuple(doc["alphabet"])
-    relations = tuple((tuple(u), tuple(v)) for u, v in doc["relations"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"presentation document must be an object, got {type(doc).__name__}")
+    missing = sorted({"alphabet", "relations"} - doc.keys())
+    if missing:
+        raise ValueError(f"presentation document lacks keys {missing}")
+    alphabet = _json_word(doc["alphabet"], "alphabet")
+    if not isinstance(doc["relations"], list):
+        raise ValueError("relations: expected a list of pairs of words")
+    relations = []
+    for i, rel in enumerate(doc["relations"]):
+        if not isinstance(rel, list) or len(rel) != 2:
+            raise ValueError(f"relation {i}: expected a pair of words, got {rel!r}")
+        relations.append(tuple(_json_word(w, f"relation {i}") for w in rel))
     return Presentation(alphabet, relations)

@@ -10,10 +10,10 @@ isomorphism.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
-from .congruence import CongruenceTable, QuotientExceeded, enumerate_quotient
+from .congruence import CongruenceTable, QuotientStats, enumerate_quotient
 from .monoid import TransformationMonoid, check_relation, is_generating_set
 from .presentations import Presentation, Relation
 from .transform import Transformation
@@ -44,6 +44,7 @@ class VerificationReport:
     target_size: int
     verdict: Verdict
     note: str
+    counters: Optional[QuotientStats] = None  # None when no enumeration ran
 
     def to_dict(self) -> dict:
         return {
@@ -58,6 +59,7 @@ class VerificationReport:
             "target_size": self.target_size,
             "verdict": self.verdict.value,
             "note": self.note,
+            "counters": None if self.counters is None else asdict(self.counters),
         }
 
 
@@ -100,58 +102,38 @@ def verify_presentation(
 
     ok, failures = satisfies_relations(assignment, pres)
     target_size = len(target)
+    quotient_size = classes_reached = counters = None
+    exceeded = False
     if not ok:
-        return VerificationReport(
-            presentation_id=presentation_id,
-            target_id=target_id,
-            relations_satisfied=False,
-            failing_relations=failures,
-            quotient_size=None,
-            quotient_exceeded=False,
-            classes_reached=None,
-            target_size=target_size,
-            verdict=Verdict.REFUTED_RELATIONS,
-            note="some relations fail on the generators; " + SOUNDNESS_NOTE,
-        )
-
-    result = enumerate_quotient(pres, target_size, max_classes=max_classes)
-    if isinstance(result, CongruenceTable):
-        verdict = Verdict.VERIFIED if result.size == target_size else Verdict.REFUTED_SIZE
-        return VerificationReport(
-            presentation_id=presentation_id,
-            target_id=target_id,
-            relations_satisfied=True,
-            failing_relations=(),
-            quotient_size=result.size,
-            quotient_exceeded=False,
-            classes_reached=result.size,
-            target_size=target_size,
-            verdict=verdict,
-            note=SOUNDNESS_NOTE,
-        )
-    assert isinstance(result, QuotientExceeded)
-    if result.completed:
-        return VerificationReport(
-            presentation_id=presentation_id,
-            target_id=target_id,
-            relations_satisfied=True,
-            failing_relations=(),
-            quotient_size=result.classes_reached,
-            quotient_exceeded=True,
-            classes_reached=result.classes_reached,
-            target_size=target_size,
-            verdict=Verdict.REFUTED_SIZE,
-            note="quotient enumeration finished above the target size; " + SOUNDNESS_NOTE,
-        )
+        verdict = Verdict.REFUTED_RELATIONS
+        note = "some relations fail on the generators; "
+    else:
+        result = enumerate_quotient(pres, target_size, max_classes=max_classes)
+        counters = result.stats
+        if isinstance(result, CongruenceTable):
+            quotient_size = classes_reached = result.size
+            verdict = Verdict.VERIFIED if result.size == target_size else Verdict.REFUTED_SIZE
+            note = ""
+        else:
+            exceeded = True
+            classes_reached = result.classes_reached
+            if result.completed:
+                quotient_size = result.classes_reached
+                verdict = Verdict.REFUTED_SIZE
+                note = "quotient enumeration finished above the target size; "
+            else:
+                verdict = Verdict.INCONCLUSIVE_BUDGET
+                note = "class budget exhausted before enumeration finished; "
     return VerificationReport(
         presentation_id=presentation_id,
         target_id=target_id,
-        relations_satisfied=True,
-        failing_relations=(),
-        quotient_size=None,
-        quotient_exceeded=True,
-        classes_reached=result.classes_reached,
+        relations_satisfied=ok,
+        failing_relations=failures,
+        quotient_size=quotient_size,
+        quotient_exceeded=exceeded,
+        classes_reached=classes_reached,
         target_size=target_size,
-        verdict=Verdict.INCONCLUSIVE_BUDGET,
-        note="class budget exhausted before enumeration finished; " + SOUNDNESS_NOTE,
+        verdict=verdict,
+        note=note + SOUNDNESS_NOTE,
+        counters=counters,
     )

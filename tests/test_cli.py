@@ -57,6 +57,33 @@ class TestVerify:
         assert "verdict: verified" in out
         assert "quotient_size: 30" in out
 
+    def test_text_output_is_four_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "4", "--class", "wend")
+        assert code == 0
+        assert out == (
+            "verdict: verified\nquotient_size: 88\ntarget_size: 88\n"
+            "relations_satisfied: True\n"
+        )
+
+    def test_json_counters(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end", "--json")
+        assert code == 0
+        counters = json.loads(out)["results"]["counters"]
+        assert set(counters) == {"classes_defined", "peak_live", "coincidences"}
+        assert counters["classes_defined"] - counters["coincidences"] == 30
+        assert counters["peak_live"] >= 30
+
+    def test_budget_exit_code_and_counters(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end",
+                           "--budget-classes", "100", "--json")
+        assert code == 3
+        results = json.loads(out)["results"]
+        assert results["verdict"] == "inconclusive-budget"
+        assert results["quotient_size"] == "exceeded"
+        counters = results["counters"]
+        assert counters["classes_defined"] - counters["coincidences"] == results["classes_reached"]
+        assert counters["peak_live"] >= results["classes_reached"] > 100
+
     def test_swend_n3(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--class", "swend", "--json")
         assert code == 0

@@ -1,12 +1,24 @@
+"""Quotient enumeration, the word-closure oracle and presentation verification.
+
+``reference_quotient`` is the plain HLT loop that the flat-table enumerator
+replaced: rows are lists with None for undefined entries, and every
+relation trace defines a fresh class at each missing entry, the last letter
+included.  The flat-table enumerator must follow the same trajectory, so
+both give the same table on every completed run and stop at the same live
+count on every budget-limited one.
+"""
+
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from starendo import (
     CongruenceTable,
     EndoClass,
     Presentation,
     QuotientExceeded,
+    QuotientStats,
     Transformation,
     end_star_presentation,
     enumerate_class,
@@ -23,6 +35,221 @@ from starendo import (
     word_closure_size,
     Verdict,
 )
+
+
+def reference_enumeration(n_letters, relations, cap):
+    """Plain HLT: returns (table, find, live) or (None, None, live) on budget."""
+    table: list[list] = [[None] * n_letters]
+    parent = [0]
+    live = 1
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def new_class() -> int:
+        nonlocal live
+        table.append([None] * n_letters)
+        parent.append(len(table) - 1)
+        live += 1
+        return len(table) - 1
+
+    def scan_fill(q: int, word) -> int:
+        c = q
+        for x in word:
+            c = find(c)
+            nxt = table[c][x]
+            if nxt is None:
+                nxt = new_class()
+                table[c][x] = nxt
+            c = nxt
+        return find(c)
+
+    def merge(a: int, b: int) -> None:
+        nonlocal live
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            live -= 1
+            row_a = table[a]
+            row_b = table[b]
+            for x in range(n_letters):
+                vb = row_b[x]
+                if vb is None:
+                    continue
+                va = row_a[x]
+                if va is None:
+                    row_a[x] = vb
+                else:
+                    queue.append((va, vb))
+
+    q = 0
+    while q < len(table):
+        if find(q) == q:
+            for u, v in relations:
+                a = scan_fill(q, u)
+                b = scan_fill(q, v)
+                if a != b:
+                    merge(a, b)
+                if live > cap:
+                    return None, None, live
+                if find(q) != q:
+                    break
+            if find(q) == q:
+                row = table[q]
+                for x in range(n_letters):
+                    if row[x] is None:
+                        row[x] = new_class()
+                if live > cap:
+                    return None, None, live
+        q += 1
+    return table, find, live
+
+
+def reference_quotient(pres, bound, max_classes=None):
+    """``enumerate_quotient`` on the plain HLT loop, without the stats."""
+    pos = {x: i for i, x in enumerate(pres.alphabet)}
+    relations = [
+        (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
+    ]
+    cap = max_classes if max_classes is not None else max(24 * bound + 2048, 8192)
+    table, find, live = reference_enumeration(len(pres.alphabet), relations, cap)
+    if table is None:
+        return QuotientExceeded(classes_reached=live, completed=False)
+    if live > bound:
+        return QuotientExceeded(classes_reached=live, completed=True)
+    n_letters = len(pres.alphabet)
+    root = find(0)
+    order = {root: 0}
+    bfs = [root]
+    reps = [()]
+    rows = []
+    i = 0
+    while i < len(bfs):
+        c = bfs[i]
+        row = []
+        for x in range(n_letters):
+            d = find(table[c][x])
+            if d not in order:
+                order[d] = len(bfs)
+                bfs.append(d)
+                reps.append(reps[i] + (pres.alphabet[x],))
+            row.append(order[d])
+        rows.append(tuple(row))
+        i += 1
+    assert len(bfs) == live
+    return CongruenceTable(
+        alphabet=pres.alphabet,
+        size=live,
+        right_mult=tuple(rows),
+        representative_words=tuple(reps),
+    )
+
+
+def assert_same_trajectory(pres, bound, max_classes=None):
+    """Both engines give equal results, tables included; returns the new one."""
+    got = enumerate_quotient(pres, bound, max_classes=max_classes)
+    want = reference_quotient(pres, bound, max_classes=max_classes)
+    assert type(got) is type(want)
+    assert got == want  # the whole table on completion; stats are not compared
+    stats = got.stats
+    size = got.size if isinstance(got, CongruenceTable) else got.classes_reached
+    assert stats.classes_defined - stats.coincidences == size
+    assert stats.peak_live >= size
+    return got
+
+
+def without_zz(n):
+    """``end_star_presentation(n)`` minus its ``z z = (e0 b0)^(n-3) e0`` relation."""
+    pres = end_star_presentation(n)
+    dropped = (("z", "z"), ("e0", "b0") * (n - 3) + ("e0",))
+    kept = tuple(r for r in pres.relations if r != dropped)
+    assert len(kept) == len(pres.relations) - 1
+    return Presentation(pres.alphabet, kept)
+
+
+STAR_SIZES = {
+    "end": {3: 6, 4: 30, 5: 260, 6: 3130},
+    "swend": {3: 9, 4: 34, 5: 265, 6: 3136},
+    "wend": {3: 17, 4: 88, 5: 689, 6: 7936},
+}
+STAR_BUILDERS = {
+    "end": end_star_presentation,
+    "swend": swend_star_presentation,
+    "wend": wend_star_presentation,
+}
+# (classes_defined, peak_live, coincidences) of the flat-table enumerator;
+# the peak/final ratios are the ones the cap comment in congruence.py cites
+STAR_STATS_N6 = {
+    "end": QuotientStats(174602, 55128, 171472),
+    "swend": QuotientStats(181453, 55130, 178317),
+    "wend": QuotientStats(560189, 111781, 552253),
+}
+
+
+class TestTrajectoryMatchesReference:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", ["end", "swend", "wend"])
+    def test_star_tables(self, cls, n):
+        table = assert_same_trajectory(STAR_BUILDERS[cls](n), STAR_SIZES[cls][n])
+        assert table.size == STAR_SIZES[cls][n]
+        if n == 6:
+            assert table.stats == STAR_STATS_N6[cls]
+
+    @pytest.mark.parametrize(
+        "pres,size",
+        [(sym_presentation(n), s) for n, s in ((3, 6), (4, 24), (5, 120))]
+        + [(full_transf_presentation(n), n ** n) for n in (3, 4)]
+        + [(partial_transf_presentation(n), (n + 1) ** n) for n in (3, 4)],
+        ids=["sym3", "sym4", "sym5", "T3", "T4", "PT3", "PT4"],
+    )
+    def test_classical_tables(self, pres, size):
+        assert assert_same_trajectory(pres, size).size == size
+
+    def test_classes_reached_on_a_sweep_of_caps(self):
+        # without z z = ... the quotient is infinite, so every cap runs out
+        pres = without_zz(5)
+        for cap in range(50, 3000, 37):
+            res = assert_same_trajectory(pres, 260, max_classes=cap)
+            assert not res.completed and res.classes_reached > cap
+
+    def test_completed_above_bound(self):
+        res = assert_same_trajectory(sym_presentation(4), 10)
+        assert res == QuotientExceeded(classes_reached=24, completed=True)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, k - 1), max_size=4).map(tuple),
+                        st.lists(st.integers(0, k - 1), max_size=4).map(tuple),
+                    ),
+                    min_size=1,
+                    max_size=5,
+                    unique=True,
+                ),
+            )
+        ),
+        st.integers(1, 400),
+    )
+    def test_drawn_presentations(self, drawn, cap):
+        k, rels = drawn
+        alphabet = tuple("xyz"[:k])
+        pres = Presentation(
+            alphabet,
+            [(tuple(alphabet[i] for i in u), tuple(alphabet[i] for i in v)) for u, v in rels],
+        )
+        assert_same_trajectory(pres, 100, max_classes=cap)
 
 
 class TestEnumerateQuotient:
@@ -167,6 +394,12 @@ class TestVerifyPresentation:
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == report.target_size == 30
+        assert report.counters == enumerate_quotient(end_star_presentation(4), 30).stats
+        assert report.to_dict()["counters"] == {
+            "classes_defined": report.counters.classes_defined,
+            "peak_live": report.counters.peak_live,
+            "coincidences": report.counters.coincidences,
+        }
 
     def test_weakened_presentation_not_verified(self):
         pres = end_star_presentation(4)
@@ -190,6 +423,7 @@ class TestVerifyPresentation:
         )
         assert report.verdict is Verdict.REFUTED_RELATIONS
         assert report.failing_relations
+        assert report.counters is None and report.to_dict()["counters"] is None
 
     def test_symmetric_presentation_defines_automorphisms(self):
         pres = sym_presentation(3).relabel({"a": "a0", "b": "b0"})
@@ -201,6 +435,22 @@ class TestVerifyPresentation:
         report = verify_presentation(pres, aut, assignment)
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == 6
+
+    def test_quotient_above_target_refutes_size(self):
+        # <a, b | a^2, b^3, (ab)^4> is S_4, which maps onto Aut(S_4) = S_3
+        pres = Presentation(
+            ("a0", "b0"), [(("a0",) * 2, ()), (("b0",) * 3, ()), (("a0", "b0") * 4, ())]
+        )
+        assignment = {
+            "a0": Transformation((0, 2, 1, 3)),
+            "b0": Transformation((0, 2, 3, 1)),
+        }
+        report = verify_presentation(pres, enumerate_class(4, EndoClass.AUT), assignment)
+        assert report.verdict is Verdict.REFUTED_SIZE
+        assert report.quotient_size == report.classes_reached == 24
+        assert report.quotient_exceeded and report.target_size == 6
+        assert report.note.startswith("quotient enumeration finished above the target size; ")
+        assert report.counters.classes_defined - report.counters.coincidences == 24
 
     def test_non_generating_assignment_is_an_error(self):
         pres = end_star_presentation(4)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from starendo import (
@@ -199,3 +201,52 @@ class TestSerialization:
     def test_empty_word_encoding(self):
         text = presentation_to_json(end_star_presentation(3))
         assert '[\n      [\n        "a0",\n        "a0"\n      ],\n      []\n    ]' in text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[]",
+            '"alphabet"',
+            '{"relations": []}',
+            '{"alphabet": ["a"]}',
+            '{"alphabet": "a", "relations": []}',
+            '{"alphabet": ["a", 1], "relations": []}',
+            '{"alphabet": ["a"], "relations": {}}',
+            '{"alphabet": ["a"], "relations": [[["a"]]]}',
+            '{"alphabet": ["a"], "relations": [[["a"], [], []]]}',
+            '{"alphabet": ["a"], "relations": ["a"]}',
+            '{"alphabet": ["a"], "relations": [["a", []]]}',
+            '{"alphabet": ["a"], "relations": [[["a"], null]]}',
+            '{"alphabet": ["a"], "relations": [[["a", ["a"]], []]]}',
+            '{"alphabet": ["a"], "relations": [[["b"], []]]}',
+        ],
+        ids=[
+            "invalid-json", "array", "string", "no-alphabet", "no-relations",
+            "alphabet-not-list", "letter-not-string", "relations-not-list",
+            "relation-one-word", "relation-three-words", "relation-not-list",
+            "word-is-string", "word-is-null", "nested-letter", "unknown-letter",
+        ],
+    )
+    def test_malformed_document_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            presentation_from_json(text)
+
+
+# sha256 over the (alphabet, relations) reprs of each builder's presentations,
+# one per line, taken from the builders before their shared idempotent block
+# was factored out; the star families cover n=3..9 so their n-1 bases do too
+RELATION_DIGESTS = {
+    full_transf_presentation: (range(3, 9), "65c98632c3bd2de440c80b4d0130f879098d2d8594e88b807d8cd99a20b48ce0"),
+    partial_transf_presentation: (range(3, 9), "ac549d0f211870409c33d5909497837df347ee15494017153e5ba5295cd121dd"),
+    end_star_presentation: (range(3, 10), "175aba227a693650b15a3f6d23ba6559e40fddc6c5aff53af0b0eca05df1411f"),
+    swend_star_presentation: (range(3, 10), "8e2ea8cf005b87e752f7ea4cdadfc6e88fc3f7bbd0cc92d3d9bb7311d8c9031f"),
+    wend_star_presentation: (range(3, 10), "9d054617c2ca0e1ab246c950deead718d5b2fcaaa75c80f0f9e31a6cb5ea4a46"),
+}
+
+
+@pytest.mark.parametrize("builder", list(RELATION_DIGESTS), ids=lambda b: b.__name__)
+def test_relation_tuples_unchanged(builder):
+    degrees, digest = RELATION_DIGESTS[builder]
+    text = "\n".join(repr((p.alphabet, p.relations)) for p in map(builder, degrees))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
