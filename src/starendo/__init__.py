@@ -60,7 +60,7 @@ from .verify import (
     satisfies_relations,
     verify_presentation,
 )
-from .wordclosure import word_closure_size
+from .wordclosure import WordClosureStats, word_closure, word_closure_size
 
 __all__ = [
     "BudgetExceededError",
@@ -74,6 +74,7 @@ __all__ = [
     "TransformationMonoid",
     "VerificationReport",
     "Verdict",
+    "WordClosureStats",
     "cardinality_formula",
     "check_relation",
     "classify",
@@ -106,6 +107,7 @@ __all__ = [
     "sym_presentation",
     "verify_presentation",
     "wend_star_presentation",
+    "word_closure",
     "word_closure_size",
     "word_for",
 ]

@@ -203,6 +203,7 @@ def test_a9_engines_agree():
         full_transf_presentation(3), full_transf_presentation(4),
         partial_transf_presentation(3), partial_transf_presentation(4),
         end_star_presentation(3), end_star_presentation(4), end_star_presentation(5),
+        end_star_presentation(6),
         swend_star_presentation(3), swend_star_presentation(4), swend_star_presentation(5),
         wend_star_presentation(3), wend_star_presentation(4), wend_star_presentation(5),
     ]
