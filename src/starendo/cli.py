@@ -190,15 +190,20 @@ def cmd_rank(args, argv: list[str]) -> int:
     target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
     try:
         rank = rank_exact(target, args.max_k, time_budget_s=args.budget_seconds)
-        verdict = "exact" if rank is not None else "unknown-no-subset"
     except BudgetExceededError:
-        rank, verdict = None, "unknown-budget"
+        rank, verdict, lower_bound = None, "unknown-budget", None
+    else:
+        if rank is not None:
+            verdict, lower_bound = "exact", rank
+        else:  # proved: no subset of size <= max_k generates the monoid
+            verdict, lower_bound = "lower-bound", args.max_k + 1
     elapsed = (time.perf_counter() - t0) * 1000.0
     results = {
         "degree": args.n,
         "class": args.cls,
         "max_k": args.max_k,
         "rank": rank,
+        "lower_bound": lower_bound,
         "verdict": verdict,
     }
     if args.json:
@@ -207,7 +212,11 @@ def cmd_rank(args, argv: list[str]) -> int:
                     results, {"rank": elapsed})
         )
     else:
-        shown = rank if rank is not None else f"unknown ({verdict})"
+        shown = {
+            "exact": rank,
+            "lower-bound": f"> {args.max_k} (lower-bound)",
+            "unknown-budget": "unknown (unknown-budget)",
+        }[verdict]
         print(f"rank: {shown}")
     return EXIT_BUDGET if verdict == "unknown-budget" else EXIT_OK
 

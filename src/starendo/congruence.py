@@ -11,6 +11,17 @@ joins classes that provably represent congruent words, and a completed
 table that respects every relation at every class has exactly one class
 per element of the presented monoid, so the final size is exact.
 
+The words traced from a class are compiled once into programs over one
+prefix trie (``_compile_traces``).  A word that shares a prefix with an
+earlier word of the same scan resumes from the class that word reached at
+the end of the shared prefix, kept in a slot, and traces only the letters
+past it.  The HLT trajectory stays the same.  Re-tracing the shared prefix
+would define nothing: the earlier trace defined every entry on it, and
+merges never undefine an entry.  The re-trace would also end at the root of
+the saved class, because a merge keeps ``table[find(c)][x]`` congruent to
+``table[c][x]``.  So the classes defined, the merges, the live counts and
+the completed table are those of the plain loop.
+
 On completion the classes are renumbered in breadth-first order from the
 class of the empty word, which makes the table and the shortlex
 representative words deterministic regardless of internal merge order.
@@ -19,9 +30,12 @@ representative words deterministic regardless of internal merge order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .presentations import Presentation, Relation, Word
+
+IntWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -78,23 +92,109 @@ class CongruenceTable:
         return q
 
     def check(self, relations: Sequence[Relation]) -> None:
-        """Raise if any relation fails to hold at any class."""
+        """Raise if any relation fails to hold at any class.
+
+        Runs the enumerator's trace programs (``_compile_traces``) through
+        the finished table.
+        """
         pos = {x: i for i, x in enumerate(self.alphabet)}
-        rels = [
-            ([pos[x] for x in u], [pos[x] for x in v]) for u, v in relations
-        ]
+        n_slots, programs = _compile_traces(
+            [(tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in relations]
+        )
+        rows = self.right_mult
+        slots = [0] * n_slots
         for q in range(self.size):
-            for u, v in rels:
-                a = q
-                for i in u:
-                    a = self.right_mult[a][i]
-                b = q
-                for i in v:
-                    b = self.right_mult[b][i]
+            slots[0] = q
+            for u_start, u_segments, v_start, v_segments, last in programs:
+                a = slots[u_start]
+                for letters, t in u_segments:
+                    for x in letters:
+                        a = rows[a][x]
+                    slots[t] = a
+                b = slots[v_start]
+                for letters, t in v_segments:
+                    for x in letters:
+                        b = rows[b][x]
+                    slots[t] = b
+                b = rows[b][last]
                 if a != b:
                     raise AssertionError(
                         f"relation fails at class {q}: traces reach {a} and {b}"
                     )
+
+
+def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
+    """Trace programs for relations ``u = v`` over letter indices.
+
+    The words traced from each class are ``u`` and ``v[:-1]`` of every
+    relation, in order; the last letter of ``v`` is left to the caller.
+    The sides swap when ``v`` is empty, and a relation with two empty sides
+    is dropped.  The words go into one prefix trie, and each word resumes
+    from the deepest node that an earlier word reached.
+
+    Returns ``(n_slots, programs)`` with one program
+    ``(u_start, u_segments, v_start, v_segments, last)`` per relation.  A
+    side starts from the class in slot ``u_start`` (or ``v_start``); slot 0
+    holds the scanned class.  Each segment ``(letters, t)`` follows its
+    letters and stores the class reached in slot ``t``.  A segment ends at
+    each node that a later word resumes from.  The last slot takes the word
+    ends that no later word resumes from, and nothing reads it.
+    """
+    children: list[dict[int, int]] = [{}]
+    resumed = {0}
+    sides = []  # per traced word: (resume node, [(letter, node reached), ...])
+    lasts = []
+    for u, v in relations:
+        if not (u or v):
+            continue
+        # v = () would leave no last letter; tracing the empty side first
+        # defines nothing, so the two sides can swap
+        u, v_head, last = (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
+        lasts.append(last)
+        for word in (u, v_head):
+            node = depth = 0
+            while depth < len(word) and word[depth] in children[node]:
+                node = children[node][word[depth]]
+                depth += 1
+            resumed.add(node)
+            start = node
+            steps = []
+            for x in word[depth:]:
+                children[node][x] = len(children)
+                node = len(children)
+                children.append({})
+                steps.append((x, node))
+            sides.append((start, steps))
+
+    slot = {node: i for i, node in enumerate(sorted(resumed))}  # the root gets slot 0
+    scratch = len(slot)
+
+    def program(start: int, steps) -> tuple[int, tuple[tuple[IntWord, int], ...]]:
+        segments = []
+        letters: list[int] = []
+        for x, node in steps:
+            letters.append(x)
+            if node in slot:
+                segments.append((tuple(letters), slot[node]))
+                letters = []
+        if letters:
+            segments.append((tuple(letters), scratch))
+        return slot[start], tuple(segments)
+
+    programs = []
+    for r, last in enumerate(lasts):
+        u_start, u_segments = program(*sides[2 * r])
+        v_start, v_segments = program(*sides[2 * r + 1])
+        programs.append((u_start, u_segments, v_start, v_segments, last))
+    return scratch + 1, tuple(programs)
+
+
+def _find(parent: list[int], c: int) -> int:
+    """Root of class ``c``, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = parent[parent[c]]
+        c = parent[c]
+    return c
 
 
 def _run_table_enumeration(n_letters: int, relations, cap: int):
@@ -108,108 +208,104 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
     The fresh class would be the newest and have an empty row, so the merge
     would only redirect it, and the live count, every later merge and the
     completed table are the same as plain HLT's.
+
+    The traces run the programs of ``_compile_traces``, and a step calls
+    ``_find`` only past a one-hop fast path: path halving leaves almost
+    every non-root one step from its root.
     """
     k = n_letters
     blank = [-1] * k
     table = [-1] * k
     parent = [0]
-    live = 1
-    peak = 1
-    # v = () would leave no last letter to deduce; tracing the empty side
-    # first defines nothing, so the two sides can swap
-    rels = [
-        (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
-        for u, v in relations
-        if u or v
-    ]
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def merge(a: int, b: int) -> None:
-        nonlocal live
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            if parent[a] != a:
-                a = find(a)
-            if parent[b] != b:
-                b = find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            live -= 1
-            ia = a * k
-            ib = b * k
-            for x in range(k):
-                vb = table[ib + x]
-                if vb < 0:
-                    continue
-                va = table[ia + x]
-                if va < 0:
-                    table[ia + x] = vb
-                else:
-                    queue.append((va, vb))
-
-    def stats() -> QuotientStats:
-        return QuotientStats(
-            classes_defined=len(parent),
-            peak_live=max(peak, live),
-            coincidences=len(parent) - live,
-        )
+    live = peak = 1
+    n_slots, programs = _compile_traces(relations)
+    slots = [0] * n_slots
 
     q = 0
     while q < len(parent):
         if parent[q] != q:
             q += 1
             continue
-        for u, v_head, last in rels:
-            a = q
-            for x in u:
-                if parent[a] != a:
-                    a = find(a)
-                i = a * k + x
-                a = table[i]
-                if a < 0:
-                    a = len(parent)
-                    parent.append(a)
-                    table += blank
-                    table[i] = a
-                    live += 1
+        slots[0] = q
+        for u_start, u_segments, v_start, v_segments, last in programs:
+            a = slots[u_start]
+            for letters, t in u_segments:
+                for x in letters:
+                    if parent[a] != a:
+                        a = parent[a]
+                        if parent[a] != a:
+                            a = _find(parent, a)
+                    i = a * k + x
+                    a = table[i]
+                    if a < 0:
+                        a = len(parent)
+                        parent.append(a)
+                        table += blank
+                        table[i] = a
+                        live += 1
+                slots[t] = a
             if parent[a] != a:
-                a = find(a)
-            b = q
-            for x in v_head:
-                if parent[b] != b:
-                    b = find(b)
-                i = b * k + x
-                b = table[i]
-                if b < 0:
-                    b = len(parent)
-                    parent.append(b)
-                    table += blank
-                    table[i] = b
-                    live += 1
+                a = parent[a]
+                if parent[a] != a:
+                    a = _find(parent, a)
+            b = slots[v_start]
+            for letters, t in v_segments:
+                for x in letters:
+                    if parent[b] != b:
+                        b = parent[b]
+                        if parent[b] != b:
+                            b = _find(parent, b)
+                    i = b * k + x
+                    b = table[i]
+                    if b < 0:
+                        b = len(parent)
+                        parent.append(b)
+                        table += blank
+                        table[i] = b
+                        live += 1
+                slots[t] = b
             if parent[b] != b:
-                b = find(b)
+                b = parent[b]
+                if parent[b] != b:
+                    b = _find(parent, b)
             i = b * k + last
             b = table[i]
             if b < 0:
                 table[i] = a
             else:
                 if parent[b] != b:
-                    b = find(b)
+                    b = parent[b]
+                    if parent[b] != b:
+                        b = _find(parent, b)
                 if a != b:
                     if live > peak:
                         peak = live
-                    merge(a, b)
+                    # the coincidence: merge a and b, and every pair of
+                    # entries the merge makes equal, keeping the older root
+                    queue = [(a, b)]
+                    while queue:
+                        a, b = queue.pop()
+                        if parent[a] != a:
+                            a = _find(parent, a)
+                        if parent[b] != b:
+                            b = _find(parent, b)
+                        if a == b:
+                            continue
+                        if b < a:
+                            a, b = b, a
+                        parent[b] = a
+                        live -= 1
+                        i = a * k
+                        for vb in table[b * k : b * k + k]:
+                            if vb >= 0:
+                                va = table[i]
+                                if va < 0:
+                                    table[i] = vb
+                                else:
+                                    queue.append((va, vb))
+                            i += 1
             if live > cap:
-                return None, None, live, stats()
+                return None, None, live, _stats(parent, peak, live)
             if parent[q] != q:
                 break
         else:
@@ -222,9 +318,17 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
                     table[i + x] = c
                     live += 1
             if live > cap:
-                return None, None, live, stats()
+                return None, None, live, _stats(parent, peak, live)
         q += 1
-    return table, find, live, stats()
+    return table, partial(_find, parent), live, _stats(parent, peak, live)
+
+
+def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
+    return QuotientStats(
+        classes_defined=len(parent),
+        peak_live=max(peak, live),
+        coincidences=len(parent) - live,
+    )
 
 
 def enumerate_quotient(

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
-from .transform import Transformation, _compose_images, is_idempotent
+from .transform import Transformation, _compose_images, _trusted, is_idempotent
 
 DEFAULT_SCAN_DEGREE = 8
 
@@ -272,7 +272,7 @@ def enumerate_class(
         raise BudgetExceededError(
             f"degree {n} exceeds the scan budget {max_degree}; raise max_degree to override"
         )
-    elems = [Transformation(img) for img in _class_census(n)[cls]]
+    elems = list(map(_trusted, _class_census(n)[cls]))
     return TransformationMonoid.from_elements(elems, _class_generators(n, cls))
 
 

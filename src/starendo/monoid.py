@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .transform import Transformation, _compose_images, _left_factor
+from .transform import Transformation, _compose_images, _left_factor, _trusted
 
 Word = tuple[str, ...]
 
@@ -171,6 +171,9 @@ class TransformationMonoid:
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
         self._jclasses: Optional[_JClasses] = None
+        # image set of a generating set proved to generate exactly ``elements``
+        # (by ``generate`` and ``from_elements``); None when nothing is proved
+        self._proven_generators: Optional[frozenset[tuple[int, ...]]] = None
         if witness_words is not None:
             self._words = tuple(tuple(w) for w in witness_words)
             self._cayley = tuple(tuple(row) for row in right_cayley)
@@ -290,14 +293,16 @@ class TransformationMonoid:
         elems, words, cayley = _closure_within_budget(
             degree, [t.images for t in gens], max_elements, structure=True
         )
-        return cls(
+        monoid = cls(
             degree,
-            [Transformation(e) for e in elems],
+            list(map(_trusted, elems)),
             names,
             gens,
             [tuple(names[j] for j in w) for w in words],
             cayley,
         )
+        monoid._proven_generators = frozenset(t.images for t in gens)
+        return monoid
 
     @classmethod
     def from_elements(
@@ -310,7 +315,8 @@ class TransformationMonoid:
         """Package a known element set in lexicographic order.
 
         The named generators must generate exactly the given set; this is
-        checked here, by a closure that collects elements only.  Witness
+        checked here, by a closure that collects elements only, and recorded
+        for :func:`is_generating_set`.  Witness
         words and the Cayley table against these generators are built on
         first access.  The given ``Transformation`` objects are kept, not
         rebuilt.  An empty generator list generates only the trivial
@@ -330,7 +336,9 @@ class TransformationMonoid:
         )
         if len(discovered) != len(elems) or not all(map(by_images.__contains__, discovered)):
             raise ValueError("generators do not generate the given element set")
-        return cls(degree, [by_images[e] for e in elems], names, gens)
+        monoid = cls(degree, [by_images[e] for e in elems], names, gens)
+        monoid._proven_generators = frozenset(t.images for t in gens)
+        return monoid
 
 
 def generate(
@@ -356,12 +364,19 @@ def word_for(monoid: TransformationMonoid, f: Transformation) -> Optional[Word]:
 def is_generating_set(
     target: TransformationMonoid, transformations: Iterable[Transformation]
 ) -> bool:
-    """True iff the closure of the given maps equals the target's element set."""
+    """True iff the closure of the given maps equals the target's element set.
+
+    Answers at once, without a closure, when the maps' image set is the one
+    that built the target by :meth:`TransformationMonoid.generate` or
+    :meth:`TransformationMonoid.from_elements`: those proved it generates.
+    """
     gens = list(transformations)
     if not gens:
         return len(target) == 1
     if any(t.degree != target.degree for t in gens):
         raise ValueError("degree mismatch with target monoid")
+    if {t.images for t in gens} == target._proven_generators:
+        return True
     if any(t not in target for t in gens):
         return False
     return _generates_exactly(target.degree, [t.images for t in gens], len(target))

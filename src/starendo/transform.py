@@ -99,6 +99,20 @@ class Transformation:
             raise ValueError(f"cannot parse transformation from {text!r}: {exc}") from None
 
 
+_new_object = object.__new__
+
+
+def _trusted(images: tuple[int, ...]) -> Transformation:
+    """A :class:`Transformation` on an image tuple the package computed itself.
+
+    Skips the per-value checks of ``Transformation(...)``; the caller
+    guarantees a non-empty tuple of ints, each in ``range(len(images))``.
+    """
+    t = _new_object(Transformation)
+    t.images = images
+    return t
+
+
 def identity(n: int) -> Transformation:
     """The map fixing every vertex of {0, ..., n-1}."""
     if n < 1:

@@ -163,12 +163,38 @@ class TestRank:
         assert out.strip() == "rank: 3"
 
     def test_unknown_when_max_k_too_small(self, capsys):
+        # rank(End(S_4)) is 4: no 2-subset generates, which is a proved lower bound
         code, out, _ = run(capsys, "rank", "--n", "4", "--class", "end", "--max-k", "2",
                            "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["rank"] is None
-        assert doc["results"]["verdict"] == "unknown-no-subset"
+        assert doc["results"]["verdict"] == "lower-bound"
+        assert doc["results"]["lower_bound"] == 3
+        code, out, _ = run(capsys, "rank", "--n", "4", "--class", "end", "--max-k", "2")
+        assert code == 0
+        assert out == "rank: > 2 (lower-bound)\n"
+
+    def test_lower_bound_swend_n5(self, capsys):
+        # rank(SWEnd(S_5)) is 5, so max_k = 4 ends on a proof, not on the clock
+        code, out, _ = run(capsys, "rank", "--n", "5", "--class", "swend", "--max-k", "4")
+        assert code == 0
+        assert out == "rank: > 4 (lower-bound)\n"
+        code, out, _ = run(capsys, "rank", "--n", "5", "--class", "swend", "--max-k", "4",
+                           "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["results"]["rank"] is None
+        assert doc["results"]["lower_bound"] == 5
+        assert doc["results"]["verdict"] == "lower-bound"
+
+    def test_exact_rank_json(self, capsys):
+        code, out, _ = run(capsys, "rank", "--n", "3", "--class", "wend", "--max-k", "3",
+                           "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["results"]["verdict"] == "exact"
+        assert doc["results"]["rank"] == doc["results"]["lower_bound"] == 3
 
     def test_time_budget_exhaustion(self, capsys):
         code, out, _ = run(capsys, "rank", "--n", "4", "--class", "wend", "--max-k", "5",
@@ -176,6 +202,7 @@ class TestRank:
         assert code == 3
         doc = json.loads(out)
         assert doc["results"]["verdict"] == "unknown-budget"
+        assert doc["results"]["rank"] is None and doc["results"]["lower_bound"] is None
 
 
 class TestOtherCommands:

@@ -17,7 +17,7 @@ from starendo import (
     standard_generators,
     star_graph,
 )
-from starendo.graphs import _graph_census
+from starendo.graphs import _class_generators, _graph_census
 
 END = EndoClass.END
 WEND = EndoClass.WEAK_END
@@ -214,6 +214,23 @@ class TestEnumerate:
         assert len(enumerate_class(2, WEND)) == 4
         assert len(enumerate_class(2, SWEND)) == 4
         assert len(enumerate_class(2, AUT)) == 2
+
+    def test_trusted_elements_match_validated_construction(self):
+        # the scan builds its elements without revalidating each image value
+        for n in range(1, 7):
+            for cls in EndoClass:
+                m = enumerate_class(n, cls)
+                validated = [Transformation(t.images) for t in m.elements]
+                assert list(m.elements) == validated
+                assert all(type(t) is Transformation and type(t.images) is tuple
+                           and hash(t) == hash(v)
+                           for t, v in zip(m.elements, validated))
+            gens = _class_generators(n, WEND)
+            if gens:
+                built = generate(gens)
+                assert list(built.elements) == [Transformation(t.images)
+                                                for t in built.elements]
+                assert set(built.elements) == set(enumerate_class(n, WEND).elements)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import starendo.monoid as monoid_module
 from starendo import (
     BudgetExceededError,
     EndoClass,
@@ -209,6 +210,60 @@ class TestGeneratingSets:
     def test_outsider_generator_fails(self):
         target = enumerate_class(4, EndoClass.END)
         assert not is_generating_set(target, [Transformation((0, 0, 0, 0))])
+
+
+class TestProvenGenerators:
+    """``is_generating_set`` skips the closure only for the image set that
+    ``generate`` or ``from_elements`` proved generates the monoid."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        calls = []
+        real = monoid_module._generates_exactly
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monoid_module, "_generates_exactly", counted)
+        return calls
+
+    def test_proven_set_answers_at_once(self, closures):
+        for n, cls in ((4, EndoClass.END), (5, EndoClass.WEAK_END)):
+            gens = [t for _, t in standard_generators(n, cls)]
+            assert is_generating_set(enumerate_class(n, cls), gens)
+            assert is_generating_set(enumerate_class(n, cls), gens[::-1] + gens[:1])
+            assert is_generating_set(generate(standard_generators(n, cls)), gens)
+        assert closures == []
+
+    def test_proper_subset_runs_the_closure(self, closures):
+        target = enumerate_class(4, EndoClass.END)
+        gens = [t for _, t in standard_generators(4, EndoClass.END)]
+        assert not is_generating_set(target, gens[:3])
+        assert not is_generating_set(generate(standard_generators(4, EndoClass.END)), gens[1:])
+        assert len(closures) == 2
+
+    def test_other_generating_set_runs_the_closure(self, closures):
+        target = enumerate_class(4, EndoClass.END)
+        gens = [t for _, t in standard_generators(4, EndoClass.END)]
+        extra = next(t for t in target if t not in gens and t != identity(4))
+        assert is_generating_set(target, gens + [extra])
+        assert len(closures) == 1
+
+    def test_monoid_built_directly_runs_the_closure(self, closures):
+        built = enumerate_class(4, EndoClass.END)
+        named = standard_generators(4, EndoClass.END)
+        direct = TransformationMonoid(
+            4, built.elements, [nm for nm, _ in named], [t for _, t in named]
+        )
+        assert is_generating_set(direct, direct.generators)
+        assert len(closures) == 1
+        # generators declared but never proved: the closure gives the answer
+        short = TransformationMonoid(
+            4, built.elements, [nm for nm, _ in named[:3]], [t for _, t in named[:3]]
+        )
+        assert not is_generating_set(short, short.generators)
+        assert len(closures) == 2
 
 
 class TestRank:

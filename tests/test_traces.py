@@ -1,0 +1,119 @@
+"""The compiled relation traces that the quotient enumerator and
+``CongruenceTable.check`` share.
+
+``expand`` runs a compiled program on words instead of classes: a slot
+holds the word traced so far, so the programs must spell out every traced
+word exactly, reading only slots that an earlier word of the same scan
+stored.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, strategies as st
+
+from starendo import (
+    CongruenceTable,
+    end_star_presentation,
+    enumerate_quotient,
+    wend_star_presentation,
+)
+from starendo.congruence import _compile_traces
+
+
+def traced_words(relations):
+    """The words a scan traces, in order: u and v[:-1], sides swapped when v = ()."""
+    out = []
+    for u, v in relations:
+        if v:
+            out.append((u, v[:-1], v[-1]))
+        elif u:
+            out.append(((), u[:-1], u[-1]))
+    return out
+
+
+def expand(n_slots, programs):
+    """Each program run on words; None marks a slot not stored in this scan."""
+    slots = [()] + [None] * (n_slots - 1)
+    out = []
+    for u_start, u_segments, v_start, v_segments, last in programs:
+        sides = []
+        for start, segments in ((u_start, u_segments), (v_start, v_segments)):
+            word = slots[start]
+            assert word is not None, f"slot {start} read before it was stored"
+            for letters, t in segments:
+                word += letters
+                slots[t] = word
+            sides.append(word)
+        out.append((sides[0], sides[1], last))
+    return out
+
+
+def naive_check(table: CongruenceTable, relations) -> bool:
+    """Every relation traced letter by letter from every class."""
+    return all(table.trace(u, q) == table.trace(v, q)
+               for q in range(table.size) for u, v in relations)
+
+
+words = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+
+
+class TestCompiledTraces:
+    @given(st.lists(st.tuples(words, words), max_size=8))
+    def test_programs_spell_out_every_traced_word(self, relations):
+        n_slots, programs = _compile_traces(relations)
+        assert expand(n_slots, programs) == traced_words(relations)
+        # every prefix of the traced words is followed exactly once per scan
+        prefixes = {w[:i] for u, v_head, _ in traced_words(relations)
+                    for w in (u, v_head) for i in range(1, len(w) + 1)}
+        traced = sum(len(letters) for p in programs for segments in (p[1], p[3])
+                     for letters, _ in segments)
+        assert traced == len(prefixes)
+
+    def test_shared_prefixes_empty_sides_and_repeats(self):
+        relations = [
+            ((0, 1, 2), (0, 1)),
+            ((0, 1, 2), (0, 1)),  # repeated: traced again from its slots
+            ((), (1, 1)),
+            ((2,), ()),  # sides swap: () and (), last letter 2
+            ((), ()),  # dropped
+            ((0, 1, 2, 0), (0, 2)),
+        ]
+        n_slots, programs = _compile_traces(relations)
+        assert expand(n_slots, programs) == traced_words(relations)
+        assert len(programs) == 5
+        # (0, 1, 2, 0) resumes where (0, 1, 2) ended and traces one letter
+        assert programs[4][1] == (((0,), n_slots - 1),)
+        assert sum(len(letters) for letters, _ in programs[1][1]) == 0
+
+    def test_star_presentations_share_prefixes(self):
+        # letters traced per scanned class: plain traces against compiled ones
+        for builder, plain, compiled in ((end_star_presentation, 240, 141),
+                                         (wend_star_presentation, 332, 190)):
+            pres = builder(6)
+            pos = {x: i for i, x in enumerate(pres.alphabet)}
+            relations = [(tuple(pos[x] for x in u), tuple(pos[x] for x in v))
+                         for u, v in pres.relations]
+            _, programs = _compile_traces(relations)
+            assert sum(len(u) + len(v_head) for u, v_head, _ in
+                       traced_words(relations)) == plain
+            assert sum(len(letters) for p in programs for segments in (p[1], p[3])
+                       for letters, _ in segments) == compiled
+
+
+class TestCheck:
+    @pytest.mark.parametrize("builder,size", [(end_star_presentation, 30),
+                                              (wend_star_presentation, 88)])
+    def test_every_changed_entry_is_caught(self, builder, size):
+        pres = builder(4)
+        table = enumerate_quotient(pres, size)
+        assert isinstance(table, CongruenceTable) and table.size == size
+        table.check(pres.relations)
+        for q in range(size):
+            for x in range(len(pres.alphabet)):
+                rows = [list(row) for row in table.right_mult]
+                rows[q][x] = (rows[q][x] + 1) % size
+                bad = replace(table, right_mult=tuple(map(tuple, rows)))
+                assert not naive_check(bad, pres.relations)
+                with pytest.raises(AssertionError):
+                    bad.check(pres.relations)

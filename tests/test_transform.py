@@ -49,6 +49,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Transformation((0, -1))
 
+    def test_rejects_values_that_are_not_ints(self):
+        for images in ((0, 1.0), ("0",), (0, None), [1, 0, "2"]):
+            with pytest.raises(ValueError):
+                Transformation(images)
+
     def test_equality_and_hash(self):
         assert T(0, 2, 1, 3) == T(0, 2, 1, 3)
         assert T(0, 1) != T(0, 1, 2)
