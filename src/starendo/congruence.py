@@ -84,11 +84,20 @@ class CongruenceTable:
     stats: Optional[QuotientStats] = field(default=None, compare=False)
 
     def trace(self, word: Sequence[str], start: int = 0) -> int:
-        """Follow ``word`` through the table from the given class."""
+        """Follow ``word`` through the table from the given class.
+
+        Raises ValueError when ``start`` is not a class index or a letter is
+        not in the alphabet.
+        """
+        if not (isinstance(start, int) and 0 <= start < self.size):
+            raise ValueError(f"start {start!r} is not a class index in 0..{self.size - 1}")
         pos = {x: i for i, x in enumerate(self.alphabet)}
         q = start
         for letter in word:
-            q = self.right_mult[q][pos[letter]]
+            i = pos.get(letter)
+            if i is None:
+                raise ValueError(f"letter {letter!r} is not in the alphabet {self.alphabet}")
+            q = self.right_mult[q][i]
         return q
 
     def check(self, relations: Sequence[Relation]) -> None:

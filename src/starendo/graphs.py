@@ -93,25 +93,27 @@ def _pair_table(graph: SimpleGraph) -> tuple[list, list, list[list[bool]]]:
     return edges, non_edges, adj
 
 
-_CLASS_BITS = (
-    (EndoClass.END, 1),
-    (EndoClass.WEAK_END, 2),
-    (EndoClass.STRONG_END, 4),
-    (EndoClass.STRONG_WEAK_END, 8),
-    (EndoClass.AUT, 16),
+# a membership mask has bit b set when the map lies in class _CLASS_ORDER[b]
+_CLASS_ORDER = (
+    EndoClass.END,
+    EndoClass.WEAK_END,
+    EndoClass.STRONG_END,
+    EndoClass.STRONG_WEAK_END,
+    EndoClass.AUT,
 )
-_MEMBERSHIP_SETS = tuple(
-    frozenset(c for c, bit in _CLASS_BITS if mask & bit) for mask in range(32)
+_MASK_BITS = tuple(
+    tuple(b for b in range(len(_CLASS_ORDER)) if mask >> b & 1) for mask in range(32)
 )
 
 
-def _memberships(
+def _membership_mask(
     img: Sequence[int],
     edges: Sequence[tuple[int, int]],
     non_edges: Sequence[tuple[int, int]],
     adj: Sequence[Sequence[bool]],
-) -> frozenset[EndoClass]:
-    """The classes of the map ``img``, from the literal definitions in one pass.
+) -> int:
+    """The classes of the map ``img`` as a mask over ``_CLASS_ORDER``, from the
+    literal definitions in one pass.
 
     The pass visits each vertex pair at most once, edges first, and judges
     it against all four definitions at once.  An edge sent to a non-edge
@@ -129,7 +131,7 @@ def _memberships(
         y = img[v]
         if not adj[x][y]:
             if x != y:
-                return _MEMBERSHIP_SETS[0]
+                return 0
             endo = False
     non_edges_kept = True
     for u, v in non_edges:
@@ -138,7 +140,7 @@ def _memberships(
             break
     strong = endo and non_edges_kept
     aut = strong and len(set(img)) == len(img)
-    return _MEMBERSHIP_SETS[2 | endo | strong << 2 | non_edges_kept << 3 | aut << 4]
+    return 2 | endo | strong << 2 | non_edges_kept << 3 | aut << 4
 
 
 def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
@@ -146,7 +148,8 @@ def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     n = graph.vertex_count
     if f.degree != n:
         raise ValueError(f"degree mismatch: map has degree {f.degree}, graph has {n}")
-    return _memberships(f.images, *_pair_table(graph))
+    mask = _membership_mask(f.images, *_pair_table(graph))
+    return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
 
 
 def _edge_constrained_maps(graph: SimpleGraph) -> list[tuple[int, ...]]:
@@ -183,14 +186,16 @@ def _graph_census(graph: SimpleGraph) -> dict[EndoClass, tuple[tuple[int, ...], 
     """The maps of each class on ``graph``, in lex order.
 
     The edge-constrained scan proposes candidates; the literal definitions
-    decide membership of every one of them.
+    decide membership of every one of them.  Each map is appended to one
+    list per bit of its membership mask.
     """
     edges, non_edges, adj = _pair_table(graph)
-    out: dict[EndoClass, list[tuple[int, ...]]] = {c: [] for c in EndoClass}
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in _CLASS_ORDER]
+    appends = [tuple(buckets[b].append for b in bits) for bits in _MASK_BITS]
     for img in _edge_constrained_maps(graph):
-        for c in _memberships(img, edges, non_edges, adj):
-            out[c].append(img)
-    return {c: tuple(v) for c, v in out.items()}
+        for append in appends[_membership_mask(img, edges, non_edges, adj)]:
+            append(img)
+    return {c: tuple(bucket) for c, bucket in zip(_CLASS_ORDER, buckets)}
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,7 +3,11 @@
 The closure enumeration is breadth-first from the identity: elements are
 discovered in shortlex order of their witness words (shorter words first,
 generator-list order breaking ties), which makes element order, witness
-words and the right Cayley table fully deterministic.
+words and the right Cayley table fully deterministic.  Up to degree 256 the
+closure keeps each element as the ``bytes`` of its images and multiplies
+with one ``bytes.translate`` call per product; above degree 256 it keeps
+image tuples.  Only structure-recording closures convert their elements
+back to image tuples, once, at the end.
 
 Regularity and rank are decided per J-class.  Two elements are
 J-related when each is a two-sided multiple of the other; the J-classes are
@@ -26,6 +30,19 @@ Word = tuple[str, ...]
 DEFAULT_ELEMENT_BUDGET = 10**6
 
 
+# a bytes.translate table has 256 entries, one per byte value
+_BYTE_DEGREE = 256
+
+
+def _encoder(degree: int) -> type:
+    """The type :func:`_closure` keeps the images of a degree in: bytes or tuple.
+
+    Callers comparing elements with a set-only closure's output encode them
+    with it; ``bytes(images)`` and ``tuple(images)`` both accept an image tuple.
+    """
+    return bytes if degree <= _BYTE_DEGREE else tuple
+
+
 def _closure(
     degree: int,
     gen_images: Sequence[tuple[int, ...]],
@@ -33,28 +50,47 @@ def _closure(
     *,
     structure: bool = False,
 ) -> Optional[tuple[list, Optional[list], Optional[list]]]:
-    """Breadth-first closure on raw image tuples, or None past ``cap`` elements.
+    """Breadth-first closure of the given maps, or None past ``cap`` elements.
+
+    While the loop runs, each element is kept in :func:`_encoder`'s type.  Up
+    to degree 256 that is the ``bytes`` of its images, and the product
+    ``f*g`` (h[i] = g[f[i]]) is ``f.translate(table_g)``, one C call, where
+    ``table_g`` is g's images padded to 256 bytes, built once per generator.
+    Above degree 256 the elements are image tuples multiplied by
+    :func:`transform._compose_images`.
 
     Returns (elements in discovery order, witness words, right Cayley rows).
-    Element 0 is the identity.  With ``structure`` the witness words (tuples
-    of generator indices, the empty word for the identity) and the Cayley
-    rows are recorded on the way; without it both are None and the loop
-    only collects the element set.
+    Element 0 is the identity.  With ``structure`` the elements come back as
+    image tuples, and the witness words (tuples of generator indices, the
+    empty word for the identity) and the Cayley rows are recorded on the
+    way.  Without it the words and rows are None and the elements stay
+    encoded: the set-only callers compare them in the same encoding.
+    Raises ValueError when a generator's degree is not ``degree``.
     """
-    ident = tuple(range(degree))
+    for g in gen_images:
+        if len(g) != degree:
+            raise ValueError(f"generator of degree {len(g)} in a closure of degree {degree}")
+    encode = _encoder(degree)
+    if encode is bytes:
+        product = bytes.translate
+        operands = [bytes(g).ljust(_BYTE_DEGREE, b"\0") for g in gen_images]
+    else:
+        product = _compose_images
+        operands = gen_images
+    ident = encode(range(degree))
     elements = [ident]
     index = {ident: 0}
     words: Optional[list[tuple[int, ...]]] = [()] if structure else None
     flat: Optional[list[int]] = [] if structure else None
     for i, f in enumerate(elements):  # grows while it is walked: breadth-first
-        times_f = _left_factor(f)
-        for j, g in enumerate(gen_images):
-            h = times_f(g)
+        for j, g in enumerate(operands):
+            h = product(f, g)
             k = index.get(h)
             if k is None:
-                if len(elements) >= cap:
+                k = len(elements)
+                if k >= cap:
                     return None
-                k = index[h] = len(elements)
+                index[h] = k
                 elements.append(h)
                 if words is not None:
                     words.append(words[i] + (j,))
@@ -62,8 +98,12 @@ def _closure(
                 flat.append(k)
     if flat is None:
         return elements, None, None
-    r = len(gen_images)
-    return elements, words, [flat[i * r : (i + 1) * r] for i in range(len(elements))]
+    r = len(operands)
+    return (
+        list(map(tuple, elements)),
+        words,
+        [flat[i * r : (i + 1) * r] for i in range(len(elements))],
+    )
 
 
 def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
@@ -327,14 +367,18 @@ class TransformationMonoid:
             raise ValueError("element set is empty")
         elems = sorted(by_images)
         degree = len(elems[0])
-        if any(len(e) != degree for e in elems):
+        if set(map(len, elems)) != {degree}:
             raise ValueError("elements must share one degree")
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
         discovered, _, _ = _closure_within_budget(
             degree, [t.images for t in gens], max_elements, structure=False
         )
-        if len(discovered) != len(elems) or not all(map(by_images.__contains__, discovered)):
+        # the closure's elements are distinct, so equal sizes and inclusion
+        # make the two sets equal
+        if len(discovered) != len(elems) or not set(
+            map(_encoder(degree), elems)
+        ).issuperset(discovered):
             raise ValueError("generators do not generate the given element set")
         monoid = cls(degree, [by_images[e] for e in elems], names, gens)
         monoid._proven_generators = frozenset(t.images for t in gens)
@@ -454,10 +498,11 @@ def rank_exact(
         return None
 
     images = [t.images for t in target.elements]
+    encode = _encoder(target.degree)  # ``generated`` holds the closure's encoding
     chosen: list[int] = []
-    generated = {ident}  # the monoid generated by ``chosen``
+    generated = {encode(ident)}  # the monoid generated by ``chosen``
     for c, members in enumerate(green.classes):
-        base = [images[x] in generated for x in members]
+        base = [encode(images[x]) in generated for x in members]
         if all(base):
             continue
         helpers = [g for g in chosen if green.above[c] >> green.class_of[g] & 1]

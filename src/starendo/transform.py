@@ -19,15 +19,15 @@ from typing import Iterable, Iterator
 
 
 def _compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # left-to-right on raw image tuples; hot path for the closure engines
+    # left-to-right on raw image tuples: h[i] = g[f[i]]
     return tuple(map(g.__getitem__, f))
 
 
 def _left_factor(f: tuple[int, ...]):
     """The map g -> f * g on raw image tuples, for a fixed first factor ``f``.
 
-    One C-level call per product; the closure engine builds it once per
-    element and applies it to every generator.
+    One C-level call per product; the J-class and rank searches build it
+    once per element and apply it to many second factors.
     """
     if len(f) == 1:
         only = f[0]

@@ -285,6 +285,18 @@ class TestEnumerateQuotient:
         keys = [(len(w), w) for w in table.representative_words]
         assert keys == sorted(keys)
 
+    def test_trace_rejects_bad_input(self):
+        table = enumerate_quotient(end_star_presentation(3), 50)
+        letter = table.alphabet[0]
+        for word in (("q",), (letter, "q")):
+            with pytest.raises(ValueError, match="letter 'q'"):
+                table.trace(word)
+        for start in (99, table.size, -1):
+            with pytest.raises(ValueError, match=f"start {start} "):
+                table.trace((letter,), start)
+        last = table.size - 1
+        assert table.trace((letter,), last) == table.right_mult[last][0]
+
     def test_deterministic(self):
         a = enumerate_quotient(swend_star_presentation(4), 50)
         b = enumerate_quotient(swend_star_presentation(4), 50)

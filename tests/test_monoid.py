@@ -170,6 +170,87 @@ class TestFromElements:
         assert len(m) == 1
         assert m.witness_words == ((),)
 
+    def test_rejects_generators_of_another_degree(self):
+        cases = [
+            (enumerate_class(3, EndoClass.END).elements, (1, 0)),
+            ([Transformation((0, 1)), Transformation((1, 0))], (1, 0, 2)),
+            ([Transformation((0, 1)), Transformation((0, 0))], (0, 0, 1)),
+        ]
+        for elems, gen in cases:
+            with pytest.raises(ValueError, match="degree"):
+                TransformationMonoid.from_elements(elems, [("g", Transformation(gen))])
+
+    def test_structure_rejects_generators_of_another_degree(self):
+        # a monoid built directly is checked when its structure is first built
+        elems = [identity(3), Transformation((1, 0, 2))]
+        direct = TransformationMonoid(3, elems, ["s"], [Transformation((1, 0))])
+        with pytest.raises(ValueError, match="degree"):
+            direct.witness_words
+
+
+def _rotation(n, m):
+    return Transformation([(i + m) % n for i in range(n)])
+
+
+def _constant(n, v):
+    return Transformation([v] * n)
+
+
+class TestByteBoundary:
+    """The closure keeps images as bytes up to degree 256 and as tuples above."""
+
+    # degree -> (generators, the monoid they generate, a set inside it that
+    # does not generate it)
+    CASES = {
+        # the rotations and, from z then rotations, every constant map
+        256: (
+            [("c", _rotation(256, 1)), ("z", _constant(256, 0))],
+            {_rotation(256, m) for m in range(256)} | {_constant(256, v) for v in range(256)},
+            [("c2", _rotation(256, 2)), ("z", _constant(256, 0))],  # even rotations only
+        ),
+        257: (
+            [("c", _rotation(257, 1))],
+            {_rotation(257, m) for m in range(257)},
+            [("e", identity(257))],
+        ),
+    }
+
+    def test_encoding_changes_at_the_boundary(self):
+        assert monoid_module._encoder(256) is bytes
+        assert monoid_module._encoder(257) is tuple
+
+    @pytest.mark.parametrize("degree", [256, 257])
+    def test_generate(self, degree):
+        gens, expected, _ = self.CASES[degree]
+        m = generate(gens)
+        assert len(m) == len(expected) and set(m.elements) == expected
+        assert m.elements[0] == identity(degree)
+        assert all(type(t.images) is tuple for t in m.elements)
+        assert m.witness_words[m.index_of(_rotation(degree, 5))] == ("c",) * 5
+        for i in (0, 1, len(m) - 1):
+            for j, g in enumerate(m.generators):
+                assert m.elements[m.right_cayley[i][j]] == m.elements[i] * g
+
+    @pytest.mark.parametrize("degree", [256, 257])
+    def test_from_elements(self, degree):
+        gens, expected, short = self.CASES[degree]
+        m = TransformationMonoid.from_elements(expected, gens)
+        assert m.elements == tuple(sorted(expected))
+        assert m.witness_words[m.index_of(_rotation(degree, 5))] == ("c",) * 5
+        with pytest.raises(ValueError):
+            TransformationMonoid.from_elements(expected - {_rotation(degree, 1)}, gens)
+        with pytest.raises(ValueError):
+            TransformationMonoid.from_elements(expected, short)
+
+    @pytest.mark.parametrize("degree", [256, 257])
+    def test_is_generating_set(self, degree):
+        gens, expected, short = self.CASES[degree]
+        target = TransformationMonoid.from_elements(expected, gens)
+        maps = [t for _, t in gens]
+        assert is_generating_set(target, maps)
+        assert is_generating_set(target, maps + [_rotation(degree, 3)])  # runs the closure
+        assert not is_generating_set(target, [t for _, t in short])
+
 
 class TestMembership:
     def test_constant_not_an_endomorphism(self):
