@@ -19,6 +19,7 @@ import time
 from . import __version__
 from .errors import BudgetExceededError
 from .graphs import (
+    DEFAULT_SCAN_DEGREE,
     EndoClass,
     cardinality_formula,
     enumerate_class,
@@ -40,14 +41,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-CLASS_BY_NAME = {
-    "end": EndoClass.END,
-    "send": EndoClass.STRONG_END,
-    "swend": EndoClass.STRONG_WEAK_END,
-    "wend": EndoClass.WEAK_END,
-    "aut": EndoClass.AUT,
-}
 
 PRESENTATION_BUILDERS = {
     "end": end_star_presentation,
@@ -81,7 +74,7 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_enumerate(args, argv: list[str]) -> int:
-    cls = CLASS_BY_NAME[args.cls]
+    cls = EndoClass(args.cls)
     t0 = time.perf_counter()
     monoid = enumerate_class(args.n, cls, max_degree=args.budget_scan)
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -104,13 +97,10 @@ def cmd_enumerate(args, argv: list[str]) -> int:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
-    if args.cls not in PRESENTATION_BUILDERS:
-        print(f"verify supports classes {sorted(PRESENTATION_BUILDERS)}", file=sys.stderr)
-        return EXIT_USAGE
     if args.n < 3:
         print("verify needs --n at least 3 (presentations start there)", file=sys.stderr)
         return EXIT_USAGE
-    cls = CLASS_BY_NAME[args.cls]
+    cls = EndoClass(args.cls)
     t0 = time.perf_counter()
     pres = PRESENTATION_BUILDERS[args.cls](args.n)
     target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
@@ -150,7 +140,7 @@ def cmd_census(args, argv: list[str]) -> int:
     all_match = True
     for n in range(lo, hi + 1):
         for name in CENSUS_CLASSES:
-            cls = CLASS_BY_NAME[name]
+            cls = EndoClass(name)
             try:
                 formula = cardinality_formula(n, cls)
             except ValueError:  # outside the formula's validity range
@@ -185,7 +175,7 @@ def cmd_census(args, argv: list[str]) -> int:
 
 
 def cmd_rank(args, argv: list[str]) -> int:
-    cls = CLASS_BY_NAME[args.cls]
+    cls = EndoClass(args.cls)
     t0 = time.perf_counter()
     target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
     try:
@@ -234,14 +224,10 @@ def cmd_dump_presentation(args, argv: list[str]) -> int:
 
 
 def cmd_check_generators(args, argv: list[str]) -> int:
-    if args.cls not in PRESENTATION_BUILDERS:
-        print(f"check-generators supports classes {sorted(PRESENTATION_BUILDERS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.n < 3:
         print("check-generators needs --n at least 3", file=sys.stderr)
         return EXIT_USAGE
-    cls = CLASS_BY_NAME[args.cls]
+    cls = EndoClass(args.cls)
     t0 = time.perf_counter()
     target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
     gens = standard_generators(args.n, cls)
@@ -285,32 +271,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    all_classes = sorted(c.value for c in EndoClass)
 
     def add_common(p, classes, *, needs_n=True):
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="number of vertices")
         p.add_argument("--class", dest="cls", choices=classes, required=True)
         p.add_argument("--json", action="store_true", help="structured report on stdout")
-        p.add_argument("--budget-scan", type=int, default=8,
+        p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_DEGREE,
                        help="largest degree the exhaustive scan accepts")
 
     p = sub.add_parser("enumerate", help="enumerate one endomorphism-type monoid")
-    add_common(p, sorted(CLASS_BY_NAME))
+    add_common(p, all_classes)
     p.add_argument("--output", help="write the monoid dump to this path")
 
     p = sub.add_parser("verify", help="certify a star presentation against the monoid")
-    add_common(p, sorted(CLASS_BY_NAME))
+    add_common(p, sorted(PRESENTATION_BUILDERS))
     p.add_argument("--budget-classes", type=int, default=10**6,
                    help="class budget for quotient enumeration")
 
     p = sub.add_parser("census", help="closed-form sizes vs exhaustive scan over a range")
     p.add_argument("--range", type=_parse_range, required=True, help="e.g. 3..5")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--budget-scan", type=int, default=8)
+    p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_DEGREE)
     p.add_argument("--output", help="write the CSV to this path")
 
     p = sub.add_parser("rank", help="minimum generating set size, one J-class at a time")
-    add_common(p, sorted(CLASS_BY_NAME))
+    add_common(p, all_classes)
     p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--budget-seconds", type=float, default=600.0)
 

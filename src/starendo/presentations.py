@@ -147,6 +147,19 @@ def partial_transf_presentation(n: int) -> Presentation:
     return Presentation(("a", "b", "c", "e"), rels)
 
 
+def _star3_relations() -> list[Relation]:
+    """a0 a0 = 1, a0 z = z and z z z = z: every star presentation at n = 3 starts so."""
+    a0, z = ("a0",), ("z",)
+    return [(a0 * 2, ()), (a0 + z, z), (z * 3, z)]
+
+
+def _hub_relations(n: int) -> list[Relation]:
+    """The hub-collapse relations for z over the relabeled base letters, n >= 4:
+    a0 z = b0 z = e0 z = z and z z = (e0 b0)^(n-3) e0."""
+    a0, b0, e0, z = ("a0",), ("b0",), ("e0",), ("z",)
+    return _chain(a0 + z, b0 + z, e0 + z, z) + [(z * 2, (e0 + b0) * (n - 3) + e0)]
+
+
 def end_star_presentation(n: int) -> Presentation:
     """Presentation of the endomorphism monoid of the star with n vertices.
 
@@ -155,15 +168,10 @@ def end_star_presentation(n: int) -> Presentation:
     """
     if n < 3:
         raise ValueError(f"star presentations need n >= 3, got {n}")
-    a0, z = ("a0",), ("z",)
     if n == 3:
-        return Presentation(("a0", "z"), [(a0 * 2, ()), (a0 + z, z), (z * 3, z)])
+        return Presentation(("a0", "z"), _star3_relations())
     base = full_transf_presentation(n - 1).relabel({"a": "a0", "b": "b0", "e": "e0"})
-    b0, e0 = ("b0",), ("e0",)
-    rels = list(base.relations)
-    rels += _chain(a0 + z, b0 + z, e0 + z, z)
-    rels.append((z * 2, (e0 + b0) * (n - 3) + e0))
-    return Presentation(("a0", "b0", "e0", "z"), rels)
+    return Presentation(("a0", "b0", "e0", "z"), list(base.relations) + _hub_relations(n))
 
 
 def swend_star_presentation(n: int) -> Presentation:
@@ -172,7 +180,7 @@ def swend_star_presentation(n: int) -> Presentation:
         raise ValueError(f"star presentations need n >= 3, got {n}")
     a0, z, z0 = ("a0",), ("z",), ("z0",)
     if n == 3:
-        rels = [(a0 * 2, ()), (a0 + z, z), (z * 3, z)]
+        rels = _star3_relations()
         rels += _chain(a0 + z0, z + z0, z0 * 2, z0 + a0, z0 + z * 2, z0)
         return Presentation(("a0", "z", "z0"), rels)
     base = end_star_presentation(n)
@@ -194,7 +202,7 @@ def wend_star_presentation(n: int) -> Presentation:
         raise ValueError(f"star presentations need n >= 3, got {n}")
     a0, c0, z = ("a0",), ("c0",), ("z",)
     if n == 3:
-        rels = [(a0 * 2, ()), (a0 + z, z), (z * 3, z), (c0 * 2, c0)]
+        rels = _star3_relations() + [(c0 * 2, c0)]
         rels += _chain((c0 + a0) * 2, (a0 + c0) * 2, c0 + a0 + c0)
         rels += [
             (z * 2 + c0, c0 + a0 + c0),
@@ -206,10 +214,7 @@ def wend_star_presentation(n: int) -> Presentation:
     base = partial_transf_presentation(n - 1).relabel(
         {"a": "a0", "b": "b0", "c": "c0", "e": "e0"}
     )
-    b0, e0 = ("b0",), ("e0",)
-    rels = list(base.relations)
-    rels += _chain(a0 + z, b0 + z, e0 + z, z)
-    rels.append((z * 2, (e0 + b0) * (n - 3) + e0))
+    rels = list(base.relations) + _hub_relations(n)
     rels.append((z * 2 + c0, z + c0))
     return Presentation(("a0", "b0", "e0", "c0", "z"), rels)
 
