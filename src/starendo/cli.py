@@ -2,9 +2,13 @@
 check-generators.
 
 Exit codes: 0 success/verified, 1 refuted, 2 usage error, 3 budget exhausted.
-All subcommands take --json for a structured report; default output is
-human-readable (the enumerate dump and the census CSV are timing-free, so
-repeated runs are byte-identical).
+Every subcommand except dump-presentation takes --json for a structured
+report; default output is human-readable (the enumerate dump and the census
+CSV are timing-free, so repeated runs are byte-identical).
+
+Each ``cmd_*`` handler returns (exit code, results, text).  :func:`main`
+times the handler and writes either ``text`` or the JSON report built
+around ``results``.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ import time
 
 from . import __version__
 from .errors import BudgetExceededError
-from .graphs import (
-    DEFAULT_SCAN_DEGREE,
-    EndoClass,
-    cardinality_formula,
-    enumerate_class,
-    standard_generators,
-)
+from .graphs import EndoClass, cardinality_formula, enumerate_class, standard_generators
 from .monoid import format_monoid, is_generating_set, rank_exact
 from .presentations import (
     end_star_presentation,
@@ -51,93 +49,57 @@ PRESENTATION_BUILDERS = {
 CENSUS_CLASSES = ["end", "swend", "wend", "aut"]
 
 
-def _report(argv: list[str], parameters: dict, results: dict, timings_ms: dict) -> dict:
-    return {
-        "command": "starendo " + " ".join(argv),
-        "version": __version__,
-        "parameters": parameters,
-        "results": results,
-        "timings_ms": timings_ms,
-    }
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(text: str, output: str | None) -> str:
+    """Write ``text`` to the ``output`` path, if one is given, and return
+    what is left for stdout.  A path that cannot be written is a usage error.
+    """
+    if not output:
+        return text
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    return ""
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def cmd_enumerate(args, argv: list[str]) -> int:
-    cls = EndoClass(args.cls)
-    t0 = time.perf_counter()
-    monoid = enumerate_class(args.n, cls, max_degree=args.budget_scan)
-    elapsed = (time.perf_counter() - t0) * 1000.0
+def cmd_enumerate(args) -> tuple[int, dict, str]:
+    monoid = enumerate_class(args.n, EndoClass(args.cls))
     dump = format_monoid(monoid)
     results = {"degree": args.n, "class": args.cls, "size": len(monoid)}
     if args.output:
-        _emit(dump, args.output)
         results["output"] = args.output
-    if args.json:
-        if not args.output:
-            results["dump_lines"] = dump.splitlines()
-        _print_json(
-            _report(argv, {"n": args.n, "class": args.cls}, results, {"enumerate": elapsed})
-        )
-    else:
-        if not args.output:
-            sys.stdout.write(dump)
+    elif args.json:
+        results["dump_lines"] = dump.splitlines()
+    if not args.json:
         print(f"enumerated {args.cls} n={args.n}: size {len(monoid)}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, results, _emit(dump, args.output)
 
 
-def cmd_verify(args, argv: list[str]) -> int:
-    if args.n < 3:
-        print("verify needs --n at least 3 (presentations start there)", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_verify(args) -> tuple[int, dict, str]:
     cls = EndoClass(args.cls)
-    t0 = time.perf_counter()
-    pres = PRESENTATION_BUILDERS[args.cls](args.n)
-    target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
-    assignment = dict(standard_generators(args.n, cls))
     report = verify_presentation(
-        pres,
-        target,
-        assignment,
+        PRESENTATION_BUILDERS[args.cls](args.n),
+        enumerate_class(args.n, cls),
+        dict(standard_generators(args.n, cls)),
         presentation_id=f"{args.cls}_star_presentation({args.n})",
         target_id=f"{args.cls}(n={args.n})",
         max_classes=args.budget_classes,
     )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    doc = _report(
-        argv,
-        {"n": args.n, "class": args.cls},
-        report.to_dict(),
-        {"verify": elapsed},
+    results = report.to_dict()
+    text = "".join(
+        f"{key}: {results[key]}\n"
+        for key in ("verdict", "quotient_size", "target_size", "relations_satisfied")
     )
-    if args.json:
-        _print_json(doc)
-    else:
-        d = report.to_dict()
-        for key in ("verdict", "quotient_size", "target_size", "relations_satisfied"):
-            print(f"{key}: {d[key]}")
-    if report.verdict is Verdict.VERIFIED:
-        return EXIT_OK
-    if report.verdict is Verdict.INCONCLUSIVE_BUDGET:
-        return EXIT_BUDGET
-    return EXIT_REFUTED
+    code = {Verdict.VERIFIED: EXIT_OK, Verdict.INCONCLUSIVE_BUDGET: EXIT_BUDGET}.get(
+        report.verdict, EXIT_REFUTED
+    )
+    return code, results, text
 
 
-def cmd_census(args, argv: list[str]) -> int:
+def cmd_census(args) -> tuple[int, dict, str]:
     lo, hi = args.range
-    t0 = time.perf_counter()
     rows = []
-    all_match = True
     for n in range(lo, hi + 1):
         for name in CENSUS_CLASSES:
             cls = EndoClass(name)
@@ -145,39 +107,23 @@ def cmd_census(args, argv: list[str]) -> int:
                 formula = cardinality_formula(n, cls)
             except ValueError:  # outside the formula's validity range
                 continue
-            enumerated = len(enumerate_class(n, cls, max_degree=args.budget_scan))
-            match = formula == enumerated
-            all_match = all_match and match
-            rows.append(
-                {
-                    "n": n,
-                    "class": name,
-                    "formula": formula,
-                    "enumerated": enumerated,
-                    "match": match,
-                }
-            )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    if args.json:
-        _print_json(
-            _report(argv, {"range": f"{lo}..{hi}"}, {"rows": rows, "all_match": all_match},
-                    {"census": elapsed})
-        )
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "class", "formula", "enumerated", "match"])
-        for r in rows:
-            writer.writerow([r["n"], r["class"], r["formula"], r["enumerated"],
-                             str(r["match"]).lower()])
-        _emit(buf.getvalue(), args.output)
-    return EXIT_OK if all_match else EXIT_REFUTED
+            enumerated = len(enumerate_class(n, cls))
+            rows.append({"n": n, "class": name, "formula": formula,
+                         "enumerated": enumerated, "match": formula == enumerated})
+    all_match = all(r["match"] for r in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "class", "formula", "enumerated", "match"])
+    writer.writerows([r["n"], r["class"], r["formula"], r["enumerated"],
+                      str(r["match"]).lower()] for r in rows)
+    results = {"rows": rows, "all_match": all_match}
+    if args.output:
+        results["output"] = args.output
+    return EXIT_OK if all_match else EXIT_REFUTED, results, _emit(buf.getvalue(), args.output)
 
 
-def cmd_rank(args, argv: list[str]) -> int:
-    cls = EndoClass(args.cls)
-    t0 = time.perf_counter()
-    target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
+def cmd_rank(args) -> tuple[int, dict, str]:
+    target = enumerate_class(args.n, EndoClass(args.cls))
     try:
         rank = rank_exact(target, args.max_k, time_budget_s=args.budget_seconds)
     except BudgetExceededError:
@@ -187,7 +133,6 @@ def cmd_rank(args, argv: list[str]) -> int:
             verdict, lower_bound = "exact", rank
         else:  # proved: no subset of size <= max_k generates the monoid
             verdict, lower_bound = "lower-bound", args.max_k + 1
-    elapsed = (time.perf_counter() - t0) * 1000.0
     results = {
         "degree": args.n,
         "class": args.cls,
@@ -196,22 +141,15 @@ def cmd_rank(args, argv: list[str]) -> int:
         "lower_bound": lower_bound,
         "verdict": verdict,
     }
-    if args.json:
-        _print_json(
-            _report(argv, {"n": args.n, "class": args.cls, "max_k": args.max_k},
-                    results, {"rank": elapsed})
-        )
-    else:
-        shown = {
-            "exact": rank,
-            "lower-bound": f"> {args.max_k} (lower-bound)",
-            "unknown-budget": "unknown (unknown-budget)",
-        }[verdict]
-        print(f"rank: {shown}")
-    return EXIT_BUDGET if verdict == "unknown-budget" else EXIT_OK
+    shown = {
+        "exact": rank,
+        "lower-bound": f"> {args.max_k} (lower-bound)",
+        "unknown-budget": "unknown (unknown-budget)",
+    }[verdict]
+    return EXIT_BUDGET if verdict == "unknown-budget" else EXIT_OK, results, f"rank: {shown}\n"
 
 
-def cmd_dump_presentation(args, argv: list[str]) -> int:
+def cmd_dump_presentation(args) -> tuple[int, dict, str]:
     builders = {
         "sym": sym_presentation,
         "tfull": full_transf_presentation,
@@ -219,20 +157,14 @@ def cmd_dump_presentation(args, argv: list[str]) -> int:
         **PRESENTATION_BUILDERS,
     }
     pres = builders[args.which](args.n)
-    _emit(presentation_to_json(pres), args.output)
-    return EXIT_OK
+    return EXIT_OK, {}, _emit(presentation_to_json(pres), args.output)
 
 
-def cmd_check_generators(args, argv: list[str]) -> int:
-    if args.n < 3:
-        print("check-generators needs --n at least 3", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_check_generators(args) -> tuple[int, dict, str]:
     cls = EndoClass(args.cls)
-    t0 = time.perf_counter()
-    target = enumerate_class(args.n, cls, max_degree=args.budget_scan)
+    target = enumerate_class(args.n, cls)
     gens = standard_generators(args.n, cls)
     ok = is_generating_set(target, [t for _, t in gens])
-    elapsed = (time.perf_counter() - t0) * 1000.0
     results = {
         "degree": args.n,
         "class": args.cls,
@@ -240,13 +172,7 @@ def cmd_check_generators(args, argv: list[str]) -> int:
         "generates": ok,
         "target_size": len(target),
     }
-    if args.json:
-        _print_json(
-            _report(argv, {"n": args.n, "class": args.cls}, results, {"check": elapsed})
-        )
-    else:
-        print(f"generates: {str(ok).lower()}")
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if ok else EXIT_REFUTED, results, f"generates: {str(ok).lower()}\n"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -263,6 +189,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starendo",
@@ -273,68 +209,84 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     all_classes = sorted(c.value for c in EndoClass)
 
-    def add_common(p, classes, *, needs_n=True):
-        if needs_n:
-            p.add_argument("--n", type=int, required=True, help="number of vertices")
+    def add_common(p, classes):
+        p.add_argument("--n", type=int, required=True, help="number of vertices")
         p.add_argument("--class", dest="cls", choices=classes, required=True)
         p.add_argument("--json", action="store_true", help="structured report on stdout")
-        p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_DEGREE,
-                       help="largest degree the exhaustive scan accepts")
 
     p = sub.add_parser("enumerate", help="enumerate one endomorphism-type monoid")
     add_common(p, all_classes)
     p.add_argument("--output", help="write the monoid dump to this path")
+    p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", help="certify a star presentation against the monoid")
     add_common(p, sorted(PRESENTATION_BUILDERS))
     p.add_argument("--budget-classes", type=int, default=10**6,
                    help="class budget for quotient enumeration")
+    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("census", help="closed-form sizes vs exhaustive scan over a range")
     p.add_argument("--range", type=_parse_range, required=True, help="e.g. 3..5")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--budget-scan", type=int, default=DEFAULT_SCAN_DEGREE)
     p.add_argument("--output", help="write the CSV to this path")
+    p.set_defaults(handler=cmd_census)
 
     p = sub.add_parser("rank", help="minimum generating set size, one J-class at a time")
     add_common(p, all_classes)
-    p.add_argument("--max-k", type=int, required=True)
+    p.add_argument("--max-k", type=_parse_count, required=True)
     p.add_argument("--budget-seconds", type=float, default=600.0)
+    p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("dump-presentation", help="write a presentation as structured text")
     p.add_argument("--which", choices=["sym", "tfull", "tpartial", "end", "swend", "wend"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output")
+    p.set_defaults(handler=cmd_dump_presentation)
 
     p = sub.add_parser("check-generators", help="standard generators generate the monoid")
     add_common(p, sorted(PRESENTATION_BUILDERS))
+    p.set_defaults(handler=cmd_check_generators)
     return parser
+
+
+def _parameters(args) -> dict:
+    """The inputs a --json report echoes."""
+    if args.command == "census":
+        lo, hi = args.range
+        return {"range": f"{lo}..{hi}"}
+    parameters = {"n": args.n, "class": args.cls}
+    if args.command == "rank":
+        parameters["max_k"] = args.max_k
+    return parameters
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "enumerate": cmd_enumerate,
-        "verify": cmd_verify,
-        "census": cmd_census,
-        "rank": cmd_rank,
-        "dump-presentation": cmd_dump_presentation,
-        "check-generators": cmd_check_generators,
-    }
+    t0 = time.perf_counter()
     try:
-        return handlers[args.command](args, argv)
+        code, results, text = args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "json", False):
+        report = {
+            "command": "starendo " + " ".join(argv),
+            "version": __version__,
+            "parameters": _parameters(args),
+            "results": results,
+            "timings_ms": {args.command: (time.perf_counter() - t0) * 1000.0},
+        }
+        text = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
 from .transform import Transformation, _compose_images, _trusted, is_idempotent
 
-DEFAULT_SCAN_DEGREE = 8
+# The largest degree the scan accepts.  At n = 9 the edge-constrained
+# candidate list alone would hold 9**8 + 8 * 2**8 = 43,048,769 tuples.
+MAX_SCAN_DEGREE = 8
 
 
 class EndoClass(enum.Enum):
@@ -262,21 +264,17 @@ def _class_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]
     return standard_generators(n, cls)
 
 
-def enumerate_class(
-    n: int, cls: EndoClass, *, max_degree: int = DEFAULT_SCAN_DEGREE
-) -> TransformationMonoid:
+def enumerate_class(n: int, cls: EndoClass) -> TransformationMonoid:
     """All transformations of degree n in the given class, in lex order.
 
     An edge-constrained scan with the literal predicates as final filter;
-    refuses degrees above ``max_degree`` (default 8) to keep default runs
-    bounded.  Witness words and the Cayley table are built on first use.
+    raises BudgetExceededError for degrees above ``MAX_SCAN_DEGREE``.
+    Witness words and the Cayley table are built on first use.
     """
     if n < 1:
         raise ValueError(f"invalid degree {n}")
-    if n > max_degree:
-        raise BudgetExceededError(
-            f"degree {n} exceeds the scan budget {max_degree}; raise max_degree to override"
-        )
+    if n > MAX_SCAN_DEGREE:
+        raise BudgetExceededError(f"degree {n} exceeds the scan limit {MAX_SCAN_DEGREE}")
     elems = list(map(_trusted, _class_census(n)[cls]))
     return TransformationMonoid.from_elements(elems, _class_generators(n, cls))
 

@@ -188,9 +188,9 @@ class TransformationMonoid:
     Fields: ``elements`` (canonically ordered), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
-    index of the product.  When the words and the table are not given they
-    are computed from the generators on first access and then kept; the
-    generators must then generate exactly ``elements``.
+    index of the product.  The words and the table are computed from the
+    generators on first access and then kept; the generators must then
+    generate exactly ``elements``.
     """
 
     def __init__(
@@ -199,11 +199,7 @@ class TransformationMonoid:
         elements: Sequence[Transformation],
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
-        witness_words: Optional[Sequence[Word]] = None,
-        right_cayley: Optional[Sequence[Sequence[int]]] = None,
     ):
-        if (witness_words is None) != (right_cayley is None):
-            raise ValueError("give both witness words and the Cayley table, or neither")
         self.degree = degree
         self.elements = tuple(elements)
         self.generator_names = tuple(generator_names)
@@ -214,9 +210,6 @@ class TransformationMonoid:
         # image set of a generating set proved to generate exactly ``elements``
         # (by ``generate`` and ``from_elements``); None when nothing is proved
         self._proven_generators: Optional[frozenset[tuple[int, ...]]] = None
-        if witness_words is not None:
-            self._words = tuple(tuple(w) for w in witness_words)
-            self._cayley = tuple(tuple(row) for row in right_cayley)
         self._index = {t.images: i for i, t in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -233,16 +226,18 @@ class TransformationMonoid:
             self._build_structure()
         return self._cayley
 
-    def _build_structure(self) -> None:
+    def _build_structure(self, found: Optional[tuple[list, list, list]] = None) -> None:
         """Shortlex witness words and right Cayley rows, in element order.
 
         One structure-recording closure from the identity (Froidure-Pin
-        style), then its discovery order is mapped onto ``elements``.
+        style), or the one given as ``found``, then its discovery order is
+        mapped onto ``elements``.
         """
         n = len(self.elements)
-        found = _closure(
-            self.degree, [t.images for t in self.generators], n, structure=True
-        )
+        if found is None:
+            found = _closure(
+                self.degree, [t.images for t in self.generators], n, structure=True
+            )
         # discovery index -> element index
         perm = None if found is None else [self._index.get(e) for e in found[0]]
         if perm is None or len(perm) != n or None in perm:
@@ -330,17 +325,11 @@ class TransformationMonoid:
         for t in gens:
             if t.degree != degree:
                 raise ValueError("generators must share one degree")
-        elems, words, cayley = _closure_within_budget(
+        found = _closure_within_budget(
             degree, [t.images for t in gens], max_elements, structure=True
         )
-        monoid = cls(
-            degree,
-            list(map(_trusted, elems)),
-            names,
-            gens,
-            [tuple(names[j] for j in w) for w in words],
-            cayley,
-        )
+        monoid = cls(degree, list(map(_trusted, found[0])), names, gens)
+        monoid._build_structure(found)
         monoid._proven_generators = frozenset(t.images for t in gens)
         return monoid
 

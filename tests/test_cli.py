@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from starendo import presentation_from_json, sym_presentation
 from starendo.cli import main
 
@@ -38,6 +40,24 @@ class TestEnumerate:
                            "--output", str(path))
         assert code == 0
         assert path.read_text().splitlines()[0] == "degree 3 size 2"
+
+    def test_json_with_output_file(self, capsys, tmp_path):
+        path = tmp_path / "dump.txt"
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--class", "end", "--json",
+                           "--output", str(path))
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["output"] == str(path)
+        assert "dump_lines" not in results
+        assert path.read_text().splitlines()[0] == "degree 3 size 6"
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "dump.txt"
+        code, out, err = run(capsys, "enumerate", "--n", "3", "--class", "end",
+                             "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write {path}" in err
 
     def test_over_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "9", "--class", "end")
@@ -151,6 +171,31 @@ class TestCensus:
         _, out2, _ = run(capsys, "census", "--range", "3..4")
         assert out1 == out2
 
+    def test_json_report(self, capsys):
+        code, out, _ = run(capsys, "census", "--range", "3..4", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["parameters"] == {"range": "3..4"}
+        assert doc["results"]["all_match"] is True
+        assert "output" not in doc["results"]
+        rows = doc["results"]["rows"]
+        assert [(r["n"], r["class"]) for r in rows] == [
+            (n, c) for n in (3, 4) for c in ("end", "swend", "wend", "aut")
+        ]
+        assert rows[2] == {"n": 3, "class": "wend", "formula": 17, "enumerated": 17,
+                           "match": True}
+
+    def test_output_file_in_both_modes(self, capsys, tmp_path):
+        text_path, json_path = tmp_path / "text.csv", tmp_path / "json.csv"
+        code, out, _ = run(capsys, "census", "--range", "3..4", "--output", str(text_path))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "census", "--range", "3..4", "--json",
+                           "--output", str(json_path))
+        assert code == 0
+        assert json.loads(out)["results"]["output"] == str(json_path)
+        assert json_path.read_text() == text_path.read_text()
+        assert text_path.read_text().startswith("n,class,formula,enumerated,match\n")
+
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "census", "--range", "5..3")
         assert code == 2
@@ -205,6 +250,12 @@ class TestRank:
         assert doc["results"]["rank"] is None and doc["results"]["lower_bound"] is None
 
 
+    def test_negative_max_k_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "rank", "--n", "3", "--class", "end", "--max-k", "-4")
+        assert code == 2
+        assert out == ""
+
+
 class TestOtherCommands:
     def test_dump_presentation_parses_back(self, capsys):
         code, out, _ = run(capsys, "dump-presentation", "--which", "sym", "--n", "3")
@@ -221,3 +272,35 @@ class TestOtherCommands:
 
     def test_unknown_class_is_usage_error(self, capsys):
         assert main(["enumerate", "--n", "3", "--class", "nope"]) == 2
+
+    def test_check_generators_json(self, capsys):
+        code, out, _ = run(capsys, "check-generators", "--n", "3", "--class", "end",
+                           "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["generates"] is True
+        assert results["target_size"] == 6
+        assert list(results["generators"]) == ["a0", "z"]
+
+    def test_budget_scan_flag_is_gone(self, capsys):
+        assert main(["enumerate", "--n", "3", "--class", "end", "--budget-scan", "9"]) == 2
+        assert main(["census", "--range", "3..3", "--budget-scan", "8"]) == 2
+
+
+JSON_COMMANDS = [
+    ["enumerate", "--n", "3", "--class", "end"],
+    ["verify", "--n", "3", "--class", "end"],
+    ["census", "--range", "3..3"],
+    ["rank", "--n", "3", "--class", "end", "--max-k", "2"],
+    ["check-generators", "--n", "3", "--class", "end"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: argv[0])
+def test_json_timings_keyed_by_subcommand(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["command", "version", "parameters", "results", "timings_ms"]
+    assert doc["command"] == "starendo " + " ".join(argv + ["--json"])
+    assert list(doc["timings_ms"]) == [argv[0]]
