@@ -11,14 +11,16 @@ joins classes that provably represent congruent words, and a completed
 table that respects every relation at every class has exactly one class
 per element of the presented monoid, so the final size is exact.
 
-The words traced from a class are compiled once into programs over one
-prefix trie (``_compile_traces``).  A word that shares a prefix with an
-earlier word of the same scan resumes from the class that word reached at
-the end of the shared prefix, kept in a slot, and traces only the letters
-past it.  The HLT trajectory stays the same.  Re-tracing the shared prefix
-would define nothing: the earlier trace defined every entry on it, and
-merges never undefine an entry.  The re-trace would also end at the root of
-the saved class, because a merge keeps ``table[find(c)][x]`` congruent to
+The words traced from a class are compiled once over one prefix trie
+(``_compile_traces``) into one flat segment list per relation, tracing ``u``
+and then ``v[:-1]``, which the enumerator and ``CongruenceTable.check`` each
+walk with one loop.  A word that shares a prefix with an earlier word of the
+same scan resumes from the class that word reached at the end of the shared
+prefix, kept in a slot, and traces only the letters past it.  The HLT
+trajectory stays the same.  Re-tracing the shared prefix would define
+nothing: the earlier trace defined every entry on it, and merges never
+undefine an entry.  The re-trace would also end at the root of the saved
+class, because a merge keeps ``table[find(c)][x]`` congruent to
 ``table[c][x]``.  So the classes defined, the merges, the live counts and
 the completed table are those of the plain loop.
 
@@ -114,18 +116,13 @@ class CongruenceTable:
         slots = [0] * n_slots
         for q in range(self.size):
             slots[0] = q
-            for u_start, u_segments, v_start, v_segments, last in programs:
-                a = slots[u_start]
-                for letters, t in u_segments:
+            for segments, a, b, last in programs:
+                for s, letters, t in segments:
+                    c = slots[s]
                     for x in letters:
-                        a = rows[a][x]
-                    slots[t] = a
-                b = slots[v_start]
-                for letters, t in v_segments:
-                    for x in letters:
-                        b = rows[b][x]
-                    slots[t] = b
-                b = rows[b][last]
+                        c = rows[c][x]
+                    slots[t] = c
+                a, b = slots[a], rows[slots[b]][last]
                 if a != b:
                     raise AssertionError(
                         f"relation fails at class {q}: traces reach {a} and {b}"
@@ -142,60 +139,58 @@ def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
     from the deepest node that an earlier word reached.
 
     Returns ``(n_slots, programs)`` with one program
-    ``(u_start, u_segments, v_start, v_segments, last)`` per relation.  A
-    side starts from the class in slot ``u_start`` (or ``v_start``); slot 0
-    holds the scanned class.  Each segment ``(letters, t)`` follows its
-    letters and stores the class reached in slot ``t``.  A segment ends at
-    each node that a later word resumes from.  The last slot takes the word
-    ends that no later word resumes from, and nothing reads it.
+    ``(segments, a, b, last)`` per relation; slot 0 holds the scanned
+    class.  Each segment ``(s, letters, t)`` starts from the class in slot
+    ``s``, follows ``letters`` and stores the class reached in slot ``t``.
+    The segments trace ``u`` and then ``v[:-1]``, one flat list, and a
+    segment ends at each node that a later word resumes from.  After them
+    slot ``a`` holds the class ``u`` reaches and slot ``b`` the class
+    ``v[:-1]`` reaches.  The last two slots take the word ends that no
+    later word resumes from, one per side, so ``v[:-1]`` cannot overwrite
+    the end of ``u``.
     """
     children: list[dict[int, int]] = [{}]
     resumed = {0}
-    sides = []  # per traced word: (resume node, [(letter, node reached), ...])
-    lasts = []
+    traces = []  # per relation: ([(resume node, [(letter, node reached), ...])] * 2, last)
     for u, v in relations:
         if not (u or v):
             continue
         # v = () would leave no last letter; tracing the empty side first
         # defines nothing, so the two sides can swap
         u, v_head, last = (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
-        lasts.append(last)
+        sides = []
         for word in (u, v_head):
             node = depth = 0
             while depth < len(word) and word[depth] in children[node]:
                 node = children[node][word[depth]]
                 depth += 1
             resumed.add(node)
-            start = node
-            steps = []
+            start, steps = node, []
             for x in word[depth:]:
                 children[node][x] = len(children)
                 node = len(children)
                 children.append({})
                 steps.append((x, node))
             sides.append((start, steps))
+        traces.append((sides, last))
 
     slot = {node: i for i, node in enumerate(sorted(resumed))}  # the root gets slot 0
-    scratch = len(slot)
-
-    def program(start: int, steps) -> tuple[int, tuple[tuple[IntWord, int], ...]]:
-        segments = []
-        letters: list[int] = []
-        for x, node in steps:
-            letters.append(x)
-            if node in slot:
-                segments.append((tuple(letters), slot[node]))
-                letters = []
-        if letters:
-            segments.append((tuple(letters), scratch))
-        return slot[start], tuple(segments)
-
     programs = []
-    for r, last in enumerate(lasts):
-        u_start, u_segments = program(*sides[2 * r])
-        v_start, v_segments = program(*sides[2 * r + 1])
-        programs.append((u_start, u_segments, v_start, v_segments, last))
-    return scratch + 1, tuple(programs)
+    for sides, last in traces:
+        segments, ends = [], []
+        for spare, (start, steps) in enumerate(sides, len(slot)):
+            s, letters = slot[start], []
+            for x, node in steps:
+                letters.append(x)
+                if node in slot:
+                    segments.append((s, tuple(letters), slot[node]))
+                    s, letters = slot[node], []
+            if letters:
+                segments.append((s, tuple(letters), spare))
+                s = spare
+            ends.append(s)
+        programs.append((tuple(segments), ends[0], ends[1], last))
+    return len(slot) + 2, tuple(programs)
 
 
 def _find(parent: list[int], c: int) -> int:
@@ -218,9 +213,10 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
     would only redirect it, and the live count, every later merge and the
     completed table are the same as plain HLT's.
 
-    The traces run the programs of ``_compile_traces``, and a step calls
+    The traces run the segments of ``_compile_traces``, and a step calls
     ``_find`` only past a one-hop fast path: path halving leaves almost
-    every non-root one step from its root.
+    every non-root one step from its root.  Both ends are resolved to roots
+    after all segments, as a trace defines classes but merges none.
     """
     k = n_letters
     blank = [-1] * k
@@ -236,43 +232,29 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
             q += 1
             continue
         slots[0] = q
-        for u_start, u_segments, v_start, v_segments, last in programs:
-            a = slots[u_start]
-            for letters, t in u_segments:
+        for segments, a, b, last in programs:
+            for s, letters, t in segments:
+                c = slots[s]
                 for x in letters:
-                    if parent[a] != a:
-                        a = parent[a]
-                        if parent[a] != a:
-                            a = _find(parent, a)
-                    i = a * k + x
-                    a = table[i]
-                    if a < 0:
-                        a = len(parent)
-                        parent.append(a)
+                    if parent[c] != c:
+                        c = parent[c]
+                        if parent[c] != c:
+                            c = _find(parent, c)
+                    i = c * k + x
+                    c = table[i]
+                    if c < 0:
+                        c = len(parent)
+                        parent.append(c)
                         table += blank
-                        table[i] = a
+                        table[i] = c
                         live += 1
-                slots[t] = a
+                slots[t] = c
+            a = slots[a]
             if parent[a] != a:
                 a = parent[a]
                 if parent[a] != a:
                     a = _find(parent, a)
-            b = slots[v_start]
-            for letters, t in v_segments:
-                for x in letters:
-                    if parent[b] != b:
-                        b = parent[b]
-                        if parent[b] != b:
-                            b = _find(parent, b)
-                    i = b * k + x
-                    b = table[i]
-                    if b < 0:
-                        b = len(parent)
-                        parent.append(b)
-                        table += blank
-                        table[i] = b
-                        live += 1
-                slots[t] = b
+            b = slots[b]
             if parent[b] != b:
                 b = parent[b]
                 if parent[b] != b:
@@ -345,14 +327,17 @@ def enumerate_quotient(
 ) -> Union[CongruenceTable, QuotientExceeded]:
     """Enumerate the quotient of the free monoid by the presentation's congruence.
 
-    Returns the complete table when the quotient has at most ``bound``
-    classes.  Otherwise returns :class:`QuotientExceeded`: with
-    ``completed=True`` and the exact size when enumeration finished above
-    the bound, or ``completed=False`` when the internal class budget
-    (``max_classes``, default scaled from the bound) ran out first.
+    Returns the complete table when the quotient has at most ``bound`` classes.
+    Otherwise returns :class:`QuotientExceeded`: with ``completed=True`` and
+    the exact size when enumeration finished above the bound, or
+    ``completed=False`` when the internal class budget (``max_classes``,
+    default scaled from the bound) ran out first.  Raises ValueError when
+    ``bound`` or ``max_classes`` is below 1.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
+    if max_classes is not None and max_classes < 1:
+        raise ValueError(f"max_classes must be at least 1, got {max_classes}")
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations

@@ -112,16 +112,6 @@ def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size:
     return found is not None and len(found[0]) == size
 
 
-def _closure_within_budget(
-    degree: int, gen_images: Sequence[tuple[int, ...]], max_elements: int, *, structure: bool
-):
-    """:func:`_closure`, raising BudgetExceededError past ``max_elements``."""
-    result = _closure(degree, gen_images, max_elements, structure=structure)
-    if result is None:
-        raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
-    return result
-
-
 class _JClasses(NamedTuple):
     """The J-classes of a monoid, each listed after every class above it.
 
@@ -325,9 +315,9 @@ class TransformationMonoid:
         for t in gens:
             if t.degree != degree:
                 raise ValueError("generators must share one degree")
-        found = _closure_within_budget(
-            degree, [t.images for t in gens], max_elements, structure=True
-        )
+        found = _closure(degree, [t.images for t in gens], max_elements, structure=True)
+        if found is None:
+            raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
         monoid = cls(degree, list(map(_trusted, found[0])), names, gens)
         monoid._build_structure(found)
         monoid._proven_generators = frozenset(t.images for t in gens)
@@ -338,18 +328,16 @@ class TransformationMonoid:
         cls,
         elements: Iterable[Transformation],
         named_generators: Sequence[tuple[str, Transformation]],
-        *,
-        max_elements: int = DEFAULT_ELEMENT_BUDGET,
     ) -> "TransformationMonoid":
         """Package a known element set in lexicographic order.
 
         The named generators must generate exactly the given set; this is
-        checked here, by a closure that collects elements only, and recorded
-        for :func:`is_generating_set`.  Witness
-        words and the Cayley table against these generators are built on
-        first access.  The given ``Transformation`` objects are kept, not
-        rebuilt.  An empty generator list generates only the trivial
-        monoid.
+        checked here, by a closure that collects elements only and stops
+        past the set's size, and recorded for :func:`is_generating_set`.
+        Witness words and the Cayley table against these generators are
+        built on first access.  The given ``Transformation`` objects are
+        kept, not rebuilt.  An empty generator list generates only the
+        trivial monoid.
         """
         by_images = {t.images: t for t in elements}
         if not by_images:
@@ -360,14 +348,13 @@ class TransformationMonoid:
             raise ValueError("elements must share one degree")
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
-        discovered, _, _ = _closure_within_budget(
-            degree, [t.images for t in gens], max_elements, structure=False
-        )
-        # the closure's elements are distinct, so equal sizes and inclusion
-        # make the two sets equal
-        if len(discovered) != len(elems) or not set(
+        found = _closure(degree, [t.images for t in gens], len(elems))
+        # a closure past the set's size cannot be the set; the closure's
+        # elements are distinct, so equal sizes and inclusion make the two
+        # sets equal
+        if found is None or len(found[0]) != len(elems) or not set(
             map(_encoder(degree), elems)
-        ).issuperset(discovered):
+        ).issuperset(found[0]):
             raise ValueError("generators do not generate the given element set")
         monoid = cls(degree, [by_images[e] for e in elems], names, gens)
         monoid._proven_generators = frozenset(t.images for t in gens)
@@ -469,9 +456,12 @@ def rank_exact(
     The pool defaults to all of the target; the identity is never needed.
     Returns None only when it is proved that no subset of the pool of size
     <= max_subset_size generates the target.  Raises BudgetExceededError
-    when ``time_budget_s`` runs out first, and ValueError when the pool is not
-    inside the target or the target's generators do not generate it.
+    when ``time_budget_s`` runs out first, and ValueError when the budget is
+    NaN or negative, the pool is not inside the target or the target's
+    generators do not generate it.
     """
+    if not time_budget_s >= 0:  # NaN fails every comparison, so no deadline would hold
+        raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s}")
     deadline = time.monotonic() + time_budget_s
     green = target._j_classes()
     index = target._index

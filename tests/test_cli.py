@@ -125,6 +125,13 @@ class TestVerify:
         doc2.pop("timings_ms")
         assert doc1 == doc2
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_class_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "verify", "--n", "4", "--class", "end",
+                             "--budget-classes", budget)
+        assert code == 2
+        assert out == "" and "max_classes" in err
+
     def test_class_budget_exhaustion_is_inconclusive(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end", "--json",
                            "--budget-classes", "10")
@@ -249,6 +256,13 @@ class TestRank:
         assert doc["results"]["verdict"] == "unknown-budget"
         assert doc["results"]["rank"] is None and doc["results"]["lower_bound"] is None
 
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_nan_or_negative_time_budget_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "rank", "--n", "3", "--class", "end", "--max-k", "2",
+                             "--budget-seconds", budget)
+        assert code == 2
+        assert out == "" and "time budget" in err
 
     def test_negative_max_k_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "rank", "--n", "3", "--class", "end", "--max-k", "-4")

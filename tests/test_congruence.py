@@ -329,6 +329,13 @@ class TestEnumerateQuotient:
         with pytest.raises(ValueError):
             enumerate_quotient(sym_presentation(3), 0)
 
+    @pytest.mark.parametrize("max_classes", [0, -3])
+    def test_class_budget_below_one_rejected(self, max_classes):
+        with pytest.raises(ValueError, match="max_classes"):
+            enumerate_quotient(sym_presentation(3), 10, max_classes=max_classes)
+        assert enumerate_quotient(sym_presentation(3), 10, max_classes=1) == QuotientExceeded(
+            classes_reached=2, completed=False)
+
 
 class TestWordClosureOracle:
     @pytest.mark.parametrize(

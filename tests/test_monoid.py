@@ -131,12 +131,14 @@ class TestFromElements:
         with pytest.raises(ValueError):
             TransformationMonoid.from_elements(elems, [("a0", Transformation((0, 2, 1, 3)))])
 
-    def test_element_budget_below_set_size(self):
-        elems = list(enumerate_class(4, EndoClass.END).elements)
-        gens = standard_generators(4, EndoClass.END)
-        with pytest.raises(BudgetExceededError):
-            TransformationMonoid.from_elements(elems, gens, max_elements=len(elems) - 1)
-        assert len(TransformationMonoid.from_elements(elems, gens, max_elements=len(elems))) == 30
+    def test_generators_of_a_superset_rejected_at_once(self):
+        # T_8's generators reach 8^8 maps, past any element budget; the
+        # closure stops one element past the given set's size instead
+        swap = Transformation((1, 0, 2, 3, 4, 5, 6, 7))
+        gens = [("a", swap), ("b", Transformation((1, 2, 3, 4, 5, 6, 7, 0))),
+                ("e", Transformation((1, 1, 2, 3, 4, 5, 6, 7)))]
+        with pytest.raises(ValueError, match="do not generate"):
+            TransformationMonoid.from_elements([identity(8), swap], gens)
 
     def test_structure_built_on_first_access(self):
         m = enumerate_class(4, EndoClass.WEAK_END)

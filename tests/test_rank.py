@@ -135,3 +135,12 @@ def test_misdeclared_generators_are_rejected(gens):
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceededError):
         rank_exact(enumerate_class(4, EndoClass.WEAK_END), 5, time_budget_s=0.0)
+
+
+def test_time_budget_must_be_a_number_at_least_zero():
+    end3 = enumerate_class(3, EndoClass.END)
+    # a NaN deadline fails every comparison, so the search would never stop
+    for budget in (float("nan"), -1.0, -1e-9):
+        with pytest.raises(ValueError, match="time budget"):
+            rank_exact(end3, 2, time_budget_s=budget)
+    assert rank_exact(end3, 2, time_budget_s=float("inf")) == 2

@@ -35,18 +35,21 @@ def traced_words(relations):
 def expand(n_slots, programs):
     """Each program run on words; None marks a slot not stored in this scan."""
     slots = [()] + [None] * (n_slots - 1)
+
+    def read(s):
+        assert slots[s] is not None, f"slot {s} read before it was stored"
+        return slots[s]
+
     out = []
-    for u_start, u_segments, v_start, v_segments, last in programs:
-        sides = []
-        for start, segments in ((u_start, u_segments), (v_start, v_segments)):
-            word = slots[start]
-            assert word is not None, f"slot {start} read before it was stored"
-            for letters, t in segments:
-                word += letters
-                slots[t] = word
-            sides.append(word)
-        out.append((sides[0], sides[1], last))
+    for segments, a, b, last in programs:
+        for s, letters, t in segments:
+            slots[t] = read(s) + letters
+        out.append((read(a), read(b), last))
     return out
+
+
+def letters_traced(programs):
+    return sum(len(letters) for segments, *_ in programs for _, letters, _ in segments)
 
 
 def naive_check(table: CongruenceTable, relations) -> bool:
@@ -66,9 +69,7 @@ class TestCompiledTraces:
         # every prefix of the traced words is followed exactly once per scan
         prefixes = {w[:i] for u, v_head, _ in traced_words(relations)
                     for w in (u, v_head) for i in range(1, len(w) + 1)}
-        traced = sum(len(letters) for p in programs for segments in (p[1], p[3])
-                     for letters, _ in segments)
-        assert traced == len(prefixes)
+        assert letters_traced(programs) == len(prefixes)
 
     def test_shared_prefixes_empty_sides_and_repeats(self):
         relations = [
@@ -83,8 +84,11 @@ class TestCompiledTraces:
         assert expand(n_slots, programs) == traced_words(relations)
         assert len(programs) == 5
         # (0, 1, 2, 0) resumes where (0, 1, 2) ended and traces one letter
-        assert programs[4][1] == (((0,), n_slots - 1),)
-        assert sum(len(letters) for letters, _ in programs[1][1]) == 0
+        # into u's spare slot; its v[:-1] = (0,) is traced already
+        (s, letters, t), = programs[4][0]
+        assert (letters, t) == ((0,), n_slots - 2)
+        assert programs[4][2] == programs[0][0][0][2]  # the slot (0,) was stored in
+        assert letters_traced(programs[1:2]) == 0
 
     def test_star_presentations_share_prefixes(self):
         # letters traced per scanned class: plain traces against compiled ones
@@ -97,8 +101,7 @@ class TestCompiledTraces:
             _, programs = _compile_traces(relations)
             assert sum(len(u) + len(v_head) for u, v_head, _ in
                        traced_words(relations)) == plain
-            assert sum(len(letters) for p in programs for segments in (p[1], p[3])
-                       for letters, _ in segments) == compiled
+            assert letters_traced(programs) == compiled
 
 
 class TestCheck:
