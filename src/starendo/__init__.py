@@ -25,13 +25,11 @@ from .graphs import (
 from .monoid import (
     TransformationMonoid,
     check_relation,
-    contains,
     evaluate_word,
     format_monoid,
     generate,
     is_generating_set,
     rank_exact,
-    word_for,
 )
 from .presentations import (
     Presentation,
@@ -48,11 +46,7 @@ from .transform import (
     Transformation,
     compose,
     identity,
-    image,
     is_idempotent,
-    is_permutation,
-    kernel,
-    power,
 )
 from .verify import (
     VerificationReport,
@@ -79,7 +73,6 @@ __all__ = [
     "check_relation",
     "classify",
     "compose",
-    "contains",
     "end_star_presentation",
     "enumerate_class",
     "enumerate_quotient",
@@ -88,15 +81,11 @@ __all__ = [
     "full_transf_presentation",
     "generate",
     "identity",
-    "image",
     "is_generating_set",
     "is_idempotent",
-    "is_permutation",
     "is_regular_element",
     "is_regular_monoid",
-    "kernel",
     "partial_transf_presentation",
-    "power",
     "presentation_from_json",
     "presentation_to_json",
     "rank_exact",
@@ -109,5 +98,4 @@ __all__ = [
     "wend_star_presentation",
     "word_closure",
     "word_closure_size",
-    "word_for",
 ]

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
-from .transform import Transformation, _compose_images, _trusted, is_idempotent
+from .transform import Transformation, _compose_images
 
 # The largest degree the scan accepts.  At n = 9 the edge-constrained
 # candidate list alone would hold 9**8 + 8 * 2**8 = 43,048,769 tuples.
@@ -275,8 +275,7 @@ def enumerate_class(n: int, cls: EndoClass) -> TransformationMonoid:
         raise ValueError(f"invalid degree {n}")
     if n > MAX_SCAN_DEGREE:
         raise BudgetExceededError(f"degree {n} exceeds the scan limit {MAX_SCAN_DEGREE}")
-    elems = list(map(_trusted, _class_census(n)[cls]))
-    return TransformationMonoid.from_elements(elems, _class_generators(n, cls))
+    return TransformationMonoid.from_elements(_class_census(n)[cls], _class_generators(n, cls))
 
 
 def cardinality_formula(n: int, cls: EndoClass) -> int:
@@ -320,10 +319,9 @@ def is_regular_monoid(monoid: TransformationMonoid) -> bool:
 
     In a finite monoid J = D, and a D-class either holds an idempotent and
     consists of regular elements or holds no regular element at all.
-    Raises ValueError when the generators do not generate the elements.
+    The idempotents are tested on the monoid's stored images.  Raises
+    ValueError when the generators do not generate the elements.
     """
-    elements = monoid.elements
     return all(
-        any(is_idempotent(elements[x]) for x in members)
-        for members in monoid._j_classes().classes
+        any(map(monoid._is_idempotent, members)) for members in monoid._j_classes().classes
     )

@@ -1,13 +1,17 @@
 """Finite transformation monoids: closure enumeration, membership, ranks.
 
+A monoid stores each element once, encoded by :func:`_encoder`: the
+``bytes`` of its images up to degree 256, the image tuple above.  One tuple
+holds them in canonical order, one index is keyed by them, and every
+product in this module goes through the degree's :func:`_multiplication`
+pair.  ``Transformation`` objects exist only at the API edge: ``elements``
+and iteration build them once, on first use, and ``in``, ``index_of`` and
+the functions that take maps encode the maps they are given.
+
 The closure enumeration is breadth-first from the identity: elements are
 discovered in shortlex order of their witness words (shorter words first,
 generator-list order breaking ties), which makes element order, witness
-words and the right Cayley table fully deterministic.  Up to degree 256 the
-closure keeps each element as the ``bytes`` of its images and multiplies
-with one ``bytes.translate`` call per product; above degree 256 it keeps
-image tuples.  Only structure-recording closures convert their elements
-back to image tuples, once, at the end.
+words and the right Cayley table fully deterministic.
 
 Regularity and rank are decided per J-class.  Two elements are
 J-related when each is a two-sided multiple of the other; the J-classes are
@@ -20,10 +24,10 @@ from __future__ import annotations
 
 import time
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .transform import Transformation, _compose_images, _left_factor, _trusted
+from .transform import Transformation, _compose_images, _trusted
 
 Word = tuple[str, ...]
 
@@ -35,12 +39,25 @@ _BYTE_DEGREE = 256
 
 
 def _encoder(degree: int) -> type:
-    """The type :func:`_closure` keeps the images of a degree in: bytes or tuple.
+    """The type a monoid of this degree stores its elements in: bytes or tuple.
 
-    Callers comparing elements with a set-only closure's output encode them
-    with it; ``bytes(images)`` and ``tuple(images)`` both accept an image tuple.
+    Both accept an image tuple or a :class:`Transformation`, which iterates
+    over its images, and return a value already of their type unchanged.
     """
     return bytes if degree <= _BYTE_DEGREE else tuple
+
+
+def _multiplication(degree: int) -> tuple[Callable, Callable]:
+    """The pair (operand, product): ``product(f, operand(g))`` is the encoded
+    ``f*g`` (h[i] = g[f[i]]) for an encoded ``f`` and any image sequence ``g``.
+
+    Up to degree 256 the operand is g's images padded to 256 bytes and the
+    product one ``bytes.translate`` call; above it they are g's image tuple
+    and :func:`transform._compose_images`.  Build an operand once per factor.
+    """
+    if degree <= _BYTE_DEGREE:
+        return (lambda g: bytes(g).ljust(_BYTE_DEGREE, b"\0")), bytes.translate
+    return tuple, _compose_images
 
 
 def _closure(
@@ -52,32 +69,20 @@ def _closure(
 ) -> Optional[tuple[list, Optional[list], Optional[list]]]:
     """Breadth-first closure of the given maps, or None past ``cap`` elements.
 
-    While the loop runs, each element is kept in :func:`_encoder`'s type.  Up
-    to degree 256 that is the ``bytes`` of its images, and the product
-    ``f*g`` (h[i] = g[f[i]]) is ``f.translate(table_g)``, one C call, where
-    ``table_g`` is g's images padded to 256 bytes, built once per generator.
-    Above degree 256 the elements are image tuples multiplied by
-    :func:`transform._compose_images`.
-
-    Returns (elements in discovery order, witness words, right Cayley rows).
-    Element 0 is the identity.  With ``structure`` the elements come back as
-    image tuples, and the witness words (tuples of generator indices, the
-    empty word for the identity) and the Cayley rows are recorded on the
-    way.  Without it the words and rows are None and the elements stay
-    encoded: the set-only callers compare them in the same encoding.
-    Raises ValueError when a generator's degree is not ``degree``.
+    The generators are image sequences; the elements are encoded and
+    multiplied by the degree's :func:`_multiplication` pair.  Returns
+    (encoded elements in discovery order, witness words, right Cayley rows).
+    Element 0 is the identity.  With ``structure`` the witness words (tuples
+    of generator indices, the empty word for the identity) and the Cayley
+    rows are recorded on the way; without it they are None.  Raises
+    ValueError when a generator's degree is not ``degree``.
     """
     for g in gen_images:
         if len(g) != degree:
             raise ValueError(f"generator of degree {len(g)} in a closure of degree {degree}")
-    encode = _encoder(degree)
-    if encode is bytes:
-        product = bytes.translate
-        operands = [bytes(g).ljust(_BYTE_DEGREE, b"\0") for g in gen_images]
-    else:
-        product = _compose_images
-        operands = gen_images
-    ident = encode(range(degree))
+    operand, product = _multiplication(degree)
+    operands = list(map(operand, gen_images))
+    ident = _encoder(degree)(range(degree))
     elements = [ident]
     index = {ident: 0}
     words: Optional[list[tuple[int, ...]]] = [()] if structure else None
@@ -99,11 +104,7 @@ def _closure(
     if flat is None:
         return elements, None, None
     r = len(operands)
-    return (
-        list(map(tuple, elements)),
-        words,
-        [flat[i * r : (i + 1) * r] for i in range(len(elements))],
-    )
+    return elements, words, [flat[i * r : (i + 1) * r] for i in range(len(elements))]
 
 
 def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
@@ -175,34 +176,47 @@ def _strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
 class TransformationMonoid:
     """An enumerated monoid of transformations with generator metadata.
 
-    Fields: ``elements`` (canonically ordered), ``generator_names`` /
+    Fields: ``elements`` (canonically ordered; stored encoded, built as
+    ``Transformation`` objects on first access), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
     index of the product.  The words and the table are computed from the
     generators on first access and then kept; the generators must then
-    generate exactly ``elements``.
+    generate exactly the elements.  The constructor takes ``Transformation``
+    objects, or encoded values as :meth:`generate` and :meth:`from_elements`
+    pass them.
     """
 
     def __init__(
         self,
         degree: int,
-        elements: Sequence[Transformation],
+        elements: Iterable[Transformation],
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
     ):
         self.degree = degree
-        self.elements = tuple(elements)
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
+        self._encode = _encoder(degree)
+        self._operand, self._product = _multiplication(degree)
+        self._encoded = tuple(map(self._encode, elements))
+        self._index = dict(zip(self._encoded, range(len(self._encoded))))
+        if len(self._index) != len(self._encoded):
+            raise ValueError("duplicate elements")
+        self._elements: Optional[tuple[Transformation, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
         self._jclasses: Optional[_JClasses] = None
-        # image set of a generating set proved to generate exactly ``elements``
+        # image set of a generating set proved to generate exactly the elements
         # (by ``generate`` and ``from_elements``); None when nothing is proved
         self._proven_generators: Optional[frozenset[tuple[int, ...]]] = None
-        self._index = {t.images: i for i, t in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
+
+    @property
+    def elements(self) -> tuple[Transformation, ...]:
+        """The elements as ``Transformation`` objects, built once on first access."""
+        if self._elements is None:
+            self._elements = tuple(map(_trusted, map(tuple, self._encoded)))
+        return self._elements
 
     @property
     def witness_words(self) -> tuple[Word, ...]:
@@ -221,15 +235,15 @@ class TransformationMonoid:
 
         One structure-recording closure from the identity (Froidure-Pin
         style), or the one given as ``found``, then its discovery order is
-        mapped onto ``elements``.
+        mapped onto the stored order.
         """
-        n = len(self.elements)
+        n = len(self._encoded)
         if found is None:
             found = _closure(
                 self.degree, [t.images for t in self.generators], n, structure=True
             )
         # discovery index -> element index
-        perm = None if found is None else [self._index.get(e) for e in found[0]]
+        perm = None if found is None else list(map(self._index.get, found[0]))
         if perm is None or len(perm) != n or None in perm:
             raise ValueError("generators do not generate the element set")
         _, words, cayley = found
@@ -248,18 +262,17 @@ class TransformationMonoid:
         Raises ValueError when the generators do not generate the elements.
         """
         if self._jclasses is None:
-            images = [t.images for t in self.elements]
-            left_columns = [  # column j: x -> g_j * x
-                list(map(self._index.get, map(_left_factor(g.images), images)))
-                for g in self.generators
-            ]
-            if any(None in column for column in left_columns):
-                raise ValueError("elements are not closed under the generators")
-            successors = [
-                row + left for row, left in zip(self.right_cayley, zip(*left_columns))
-            ] if left_columns else list(self.right_cayley)
+            right = self.right_cayley  # first: its closure checks the generators
+            index, product = self._index.get, self._product
+            gens = [self._encode(g.images) for g in self.generators]
+            successors = []
+            for row, x in zip(right, map(self._operand, self._encoded)):
+                left = [index(product(g, x)) for g in gens]  # x -> g * x
+                if None in left:
+                    raise ValueError("elements are not closed under the generators")
+                successors.append(row + tuple(left))
             components = _strong_components(successors)[::-1]  # top down
-            class_of = [0] * len(images)
+            class_of = [0] * len(successors)
             for c, members in enumerate(components):
                 for x in members:
                     class_of[x] = c
@@ -274,19 +287,30 @@ class TransformationMonoid:
             )
         return self._jclasses
 
+    def _is_idempotent(self, x: int) -> bool:
+        """True iff element ``x`` (an index) is idempotent."""
+        e = self._encoded[x]
+        return self._product(e, self._operand(e)) == e
+
+    def _find(self, f: object) -> Optional[int]:
+        """The index of ``f``, or None for anything but an element."""
+        if not isinstance(f, Transformation) or f.degree != self.degree:
+            return None
+        return self._index.get(self._encode(f.images))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._encoded)
 
     def __iter__(self) -> Iterator[Transformation]:
         return iter(self.elements)
 
     def __contains__(self, f: object) -> bool:
-        return isinstance(f, Transformation) and f.images in self._index
+        return self._find(f) is not None
 
     def index_of(self, f: Transformation) -> Optional[int]:
         if f.degree != self.degree:
             raise ValueError(f"degree mismatch: {f.degree} vs {self.degree}")
-        return self._index.get(f.images)
+        return self._find(f)
 
     def __repr__(self) -> str:
         return (
@@ -311,14 +335,11 @@ class TransformationMonoid:
             raise ValueError("need at least one generator")
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
-        degree = gens[0].degree
-        for t in gens:
-            if t.degree != degree:
-                raise ValueError("generators must share one degree")
+        degree = gens[0].degree  # the closure rejects generators of another degree
         found = _closure(degree, [t.images for t in gens], max_elements, structure=True)
         if found is None:
             raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
-        monoid = cls(degree, list(map(_trusted, found[0])), names, gens)
+        monoid = cls(degree, found[0], names, gens)
         monoid._build_structure(found)
         monoid._proven_generators = frozenset(t.images for t in gens)
         return monoid
@@ -326,37 +347,35 @@ class TransformationMonoid:
     @classmethod
     def from_elements(
         cls,
-        elements: Iterable[Transformation],
+        elements: Iterable[Transformation | Sequence[int]],
         named_generators: Sequence[tuple[str, Transformation]],
     ) -> "TransformationMonoid":
         """Package a known element set in lexicographic order.
 
-        The named generators must generate exactly the given set; this is
-        checked here, by a closure that collects elements only and stops
-        past the set's size, and recorded for :func:`is_generating_set`.
-        Witness words and the Cayley table against these generators are
-        built on first access.  The given ``Transformation`` objects are
-        kept, not rebuilt.  An empty generator list generates only the
-        trivial monoid.
+        The elements are ``Transformation`` objects or image sequences, each
+        encoded once.  The named generators must generate exactly the given
+        set; this is checked here, by a closure that collects elements only
+        and stops past the set's size, and recorded for
+        :func:`is_generating_set`.  The check also rejects a set of mixed
+        degrees and any image sequence that is not a map.  Witness words and
+        the Cayley table are built on first access.  An empty generator list
+        generates only the trivial monoid.
         """
-        by_images = {t.images: t for t in elements}
-        if not by_images:
+        elements = tuple(elements)
+        if not elements:
             raise ValueError("element set is empty")
-        elems = sorted(by_images)
-        degree = len(elems[0])
-        if set(map(len, elems)) != {degree}:
-            raise ValueError("elements must share one degree")
+        degree = len(tuple(elements[0]))
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
-        found = _closure(degree, [t.images for t in gens], len(elems))
+        monoid = cls(degree, sorted(dict.fromkeys(map(_encoder(degree), elements))), names, gens)
+        found = _closure(degree, [t.images for t in gens], len(monoid))
         # a closure past the set's size cannot be the set; the closure's
         # elements are distinct, so equal sizes and inclusion make the two
         # sets equal
-        if found is None or len(found[0]) != len(elems) or not set(
-            map(_encoder(degree), elems)
-        ).issuperset(found[0]):
+        if found is None or len(found[0]) != len(monoid) or not all(
+            map(monoid._index.__contains__, found[0])
+        ):
             raise ValueError("generators do not generate the given element set")
-        monoid = cls(degree, [by_images[e] for e in elems], names, gens)
         monoid._proven_generators = frozenset(t.images for t in gens)
         return monoid
 
@@ -368,17 +387,6 @@ def generate(
 ) -> TransformationMonoid:
     """Module-level alias for :meth:`TransformationMonoid.generate`."""
     return TransformationMonoid.generate(named_generators, max_elements=max_elements)
-
-
-def contains(monoid: TransformationMonoid, f: Transformation) -> bool:
-    """Membership by lookup; degrees must match."""
-    return monoid.index_of(f) is not None
-
-
-def word_for(monoid: TransformationMonoid, f: Transformation) -> Optional[Word]:
-    """The stored shortlex witness word for ``f``, or None if absent."""
-    i = monoid.index_of(f)
-    return None if i is None else monoid.witness_words[i]
 
 
 def is_generating_set(
@@ -464,24 +472,22 @@ def rank_exact(
         raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s}")
     deadline = time.monotonic() + time_budget_s
     green = target._j_classes()
-    index = target._index
     if candidate_pool is None:
         pool = set(range(len(target)))
     else:
-        if any(t not in target for t in candidate_pool):
+        pool = set(map(target._find, candidate_pool))
+        if None in pool:
             raise ValueError("candidate pool must be a subset of the target monoid")
-        pool = {index[t.images] for t in candidate_pool}
-    ident = tuple(range(target.degree))
-    pool.discard(index[ident])
+    ident = target._encode(range(target.degree))
+    pool.discard(target._index[ident])
     if max_subset_size < 0:
         return None
 
-    images = [t.images for t in target.elements]
-    encode = _encoder(target.degree)  # ``generated`` holds the closure's encoding
+    store = target._encoded
     chosen: list[int] = []
-    generated = {encode(ident)}  # the monoid generated by ``chosen``
+    generated = {ident}  # the monoid generated by ``chosen``
     for c, members in enumerate(green.classes):
-        base = [encode(images[x]) in generated for x in members]
+        base = [store[x] in generated for x in members]
         if all(base):
             continue
         helpers = [g for g in chosen if green.above[c] >> green.class_of[g] & 1]
@@ -497,7 +503,7 @@ def rank_exact(
         if picked is None:
             return None
         chosen += picked
-        found = _closure(target.degree, [images[g] for g in chosen], len(target))
+        found = _closure(target.degree, [store[g] for g in chosen], len(target))
         if found is None:
             raise ValueError("elements are not closed under multiplication")
         generated = set(found[0])
@@ -528,17 +534,19 @@ def _fewest_generators_of_class(
         raise BudgetExceededError("rank search exceeded its time budget")
     green = target._j_classes()
     members, class_of, index = green.classes[c], green.class_of, target._index
+    store, operand, product = target._encoded, target._operand, target._product
     local = {x: i for i, x in enumerate(members)}
-    member_images = [target.elements[x].images for x in members]
-    times_member = [_left_factor(xi) for xi in member_images]  # y -> x*y
+    member_values = [store[x] for x in members]
+    member_operands = list(map(operand, member_values))
 
     def steps(y: int) -> list[list[int]]:
         """For each member x, the members among x*y and y*x."""
-        yi = target.elements[y].images
-        times_y = _left_factor(yi)
+        y_value = store[y]
+        y_operand = operand(y_value)
         out = []
-        for times_x, xi in zip(times_member, member_images):
-            products = (index.get(times_x(yi)), index.get(times_y(xi)))
+        for x_value, x_operand in zip(member_values, member_operands):
+            products = (index.get(product(x_value, y_operand)),
+                        index.get(product(y_value, x_operand)))
             out.append([local[k] for k in products if k is not None and class_of[k] == c])
         return out
 
@@ -573,9 +581,14 @@ def _fewest_generators_of_class(
 
 
 def format_monoid(monoid: TransformationMonoid) -> str:
-    """Line-based dump: header, then ``index: images : witness-word`` per element."""
+    """Line-based dump: header, then ``index: images : witness-word`` per element.
+
+    Each line is written from the stored images, as ``Transformation.format``
+    would write them; no ``Transformation`` object is built.
+    """
     lines = [f"degree {monoid.degree} size {len(monoid)}"]
-    for i, t in enumerate(monoid.elements):
-        word = " ".join(monoid.witness_words[i])
-        lines.append(f"{i}: {t.format()} : {word}".rstrip())
+    digits = list(map(str, range(monoid.degree)))
+    for i, (images, word) in enumerate(zip(monoid._encoded, monoid.witness_words)):
+        text = ",".join(map(digits.__getitem__, images))
+        lines.append(f"{i}: {text} : {' '.join(word)}".rstrip())
     return "\n".join(lines) + "\n"

@@ -7,32 +7,20 @@ Composition is LEFT TO RIGHT everywhere in this package: ``compose(f, g)``
 
 Vertex 0 (the hub of a star graph) is index 0 of the image tuple.  Getting
 the composition order backwards silently transposes every monoid built on
-top of this module, so all word evaluation anywhere in the package funnels
-through :func:`compose`/:func:`power`.
+top of this module, so every product in the package follows this order:
+:func:`compose` on objects, :func:`_compose_images` on image tuples, and
+the monoid layer's ``bytes.translate`` products in the same order.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Iterable, Iterator
 
 
 def _compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     # left-to-right on raw image tuples: h[i] = g[f[i]]
     return tuple(map(g.__getitem__, f))
-
-
-def _left_factor(f: tuple[int, ...]):
-    """The map g -> f * g on raw image tuples, for a fixed first factor ``f``.
-
-    One C-level call per product; the J-class and rank searches build it
-    once per element and apply it to many second factors.
-    """
-    if len(f) == 1:
-        only = f[0]
-        return lambda g: (g[only],)
-    return operator.itemgetter(*f)
 
 
 @functools.total_ordering
@@ -53,7 +41,7 @@ class Transformation:
             raise ValueError("a transformation needs degree at least 1")
         n = len(images)
         for v in images:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"image value {v!r} out of range for degree {n}")
         self.images = images
 
@@ -72,14 +60,18 @@ class Transformation:
             return NotImplemented
         return self.images == other.images
 
-    def __lt__(self, other: "Transformation") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Transformation):
+            return NotImplemented
         return self.images < other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
 
-    def __mul__(self, other: "Transformation") -> "Transformation":
+    def __mul__(self, other: object) -> "Transformation":
         """Left-to-right product: ``self`` first, then ``other``."""
+        if not isinstance(other, Transformation):
+            return NotImplemented
         return compose(self, other)
 
     def __repr__(self) -> str:
@@ -105,8 +97,9 @@ _new_object = object.__new__
 def _trusted(images: tuple[int, ...]) -> Transformation:
     """A :class:`Transformation` on an image tuple the package computed itself.
 
-    Skips the per-value checks of ``Transformation(...)``; the caller
-    guarantees a non-empty tuple of ints, each in ``range(len(images))``.
+    Skips the per-value checks of ``Transformation(...)``; the caller (the
+    lazy ``TransformationMonoid.elements``) guarantees a non-empty tuple of
+    ints, each in ``range(len(images))``.
     """
     t = _new_object(Transformation)
     t.images = images
@@ -125,41 +118,6 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
     if f.degree != g.degree:
         raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
     return Transformation(_compose_images(f.images, g.images))
-
-
-def power(f: Transformation, k: int) -> Transformation:
-    """k-fold left-to-right composition of ``f`` with itself; k=0 gives the identity."""
-    if k < 0:
-        raise ValueError(f"negative exponent {k}")
-    result = tuple(range(f.degree))
-    base = f.images
-    while k:
-        if k & 1:
-            result = _compose_images(result, base)
-        k >>= 1
-        if k:
-            base = _compose_images(base, base)
-    return Transformation(result)
-
-
-def image(f: Transformation) -> frozenset[int]:
-    """The set of vertices hit by ``f``."""
-    return frozenset(f.images)
-
-
-def kernel(f: Transformation) -> tuple[tuple[int, ...], ...]:
-    """The partition of {0, ..., n-1} into preimages of image points.
-
-    Blocks are returned as increasing tuples, sorted by least element.
-    """
-    buckets: dict[int, list[int]] = {}
-    for i, v in enumerate(f.images):
-        buckets.setdefault(v, []).append(i)
-    return tuple(tuple(b) for b in sorted(buckets.values()))
-
-
-def is_permutation(f: Transformation) -> bool:
-    return len(set(f.images)) == f.degree
 
 
 def is_idempotent(f: Transformation) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -206,6 +207,13 @@ class TestCensus:
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "census", "--range", "5..3")
         assert code == 2
+
+    def test_csv_unchanged(self, capsys):
+        code, out, _ = run(capsys, "census", "--range", "1..7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2cc10d9ceb9762c67b6759cd2d2a7591ad3270a64109e087cb14a923d27d8c33"
+        )
 
 
 class TestRank:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from starendo import (
     cardinality_formula,
     classify,
     enumerate_class,
+    format_monoid,
     generate,
     identity,
     is_regular_element,
@@ -231,6 +233,21 @@ class TestEnumerate:
                 assert list(built.elements) == [Transformation(t.images)
                                                 for t in built.elements]
                 assert set(built.elements) == set(enumerate_class(n, WEND).elements)
+
+    # sha256 of format_monoid(enumerate_class(n, cls)) for n = 1..6, concatenated:
+    # pins element order, image lists and witness words
+    DUMP_DIGESTS = {
+        END: "e851e8fad339d49ef796b54d75a6f0fffb6959b0f8de69358e350921573453af",
+        WEND: "13e1c5777db4d778f453193fddd64a4ea9ec1b1c6ab3679705ad0029f7e0187f",
+        SEND: "e851e8fad339d49ef796b54d75a6f0fffb6959b0f8de69358e350921573453af",
+        SWEND: "2ffc19697decd8521703487c9d0a9b2fb52ce221b8685dde6d8db243e22d5276",
+        AUT: "82da85dc8f979c85f0d561b2c0771a0129b781782a491a88f338e6b5d1995373",
+    }
+
+    @pytest.mark.parametrize("cls", list(EndoClass), ids=lambda c: c.value)
+    def test_dumps_unchanged(self, cls):
+        text = "".join(format_monoid(enumerate_class(n, cls)) for n in range(1, 7))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DUMP_DIGESTS[cls]
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

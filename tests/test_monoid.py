@@ -10,16 +10,15 @@ from starendo import (
     Transformation,
     TransformationMonoid,
     check_relation,
-    contains,
     enumerate_class,
     evaluate_word,
     format_monoid,
     generate,
     identity,
     is_generating_set,
+    is_regular_monoid,
     rank_exact,
     standard_generators,
-    word_for,
 )
 
 
@@ -161,11 +160,27 @@ class TestFromElements:
                     bfs.elements[k] for k in bfs.right_cayley[i]
                 ]
 
-    def test_keeps_the_given_objects(self):
-        elems = list(enumerate_class(3, EndoClass.END).elements)
-        gens = standard_generators(3, EndoClass.END)
-        m = TransformationMonoid.from_elements(reversed(elems), gens)
-        assert all(a is b for a, b in zip(m.elements, elems))
+    def test_builds_no_transformation_objects(self):
+        # the monoid's own paths read the stored images; only ``elements``
+        # and iteration build Transformation objects, once
+        for n, cls in [(4, EndoClass.END), (4, EndoClass.WEAK_END), (3, EndoClass.AUT)]:
+            m = enumerate_class(n, cls)
+            steps = [
+                lambda: is_generating_set(m, m.generators),
+                lambda: is_generating_set(m, m.generators[:-1]),  # runs the closure
+                lambda: (m.witness_words, m.right_cayley),
+                lambda: rank_exact(m, 3),
+                lambda: rank_exact(m, 3, candidate_pool=m.generators),
+                lambda: is_regular_monoid(m),
+                lambda: format_monoid(m),
+            ]
+            assert m._elements is None
+            for step in steps:
+                step()
+                assert m._elements is None
+            elements = m.elements
+            assert elements[m.index_of(identity(n))] == identity(n)
+            assert list(m) == list(elements) and m.elements is elements
 
     def test_trivial_monoid_without_generators(self):
         m = TransformationMonoid.from_elements([identity(5)], [])
@@ -253,25 +268,54 @@ class TestByteBoundary:
         assert is_generating_set(target, maps + [_rotation(degree, 3)])  # runs the closure
         assert not is_generating_set(target, [t for _, t in short])
 
+    @pytest.mark.parametrize("degree", [256, 257])
+    def test_rank_and_regularity(self, degree):
+        # the rotations and the constant maps: units above one class of constants
+        gens = [("c", _rotation(degree, 1)), ("z", _constant(degree, 0))]
+        target = TransformationMonoid.from_elements(
+            {_rotation(degree, m) for m in range(degree)}
+            | {_constant(degree, v) for v in range(degree)},
+            gens,
+        )
+        assert rank_exact(target, 2) == 2
+        assert rank_exact(target, 1) is None
+        assert is_regular_monoid(target)
+        assert target._elements is None
+
+    def test_rank_of_cyclic_group_above_the_boundary(self):
+        gens, expected, _ = self.CASES[257]
+        target = TransformationMonoid.from_elements(expected, gens)
+        assert rank_exact(target, 1) == 1
+        assert is_regular_monoid(target)
+
 
 class TestMembership:
     def test_constant_not_an_endomorphism(self):
         m = enumerate_class(4, EndoClass.END)
-        assert not contains(m, Transformation((0, 0, 0, 0)))
+        assert Transformation((0, 0, 0, 0)) not in m
+        assert m.index_of(Transformation((0, 0, 0, 0))) is None
 
     def test_word_for_identity_is_empty(self):
         m = generate(standard_generators(4, EndoClass.END))
-        assert word_for(m, identity(4)) == ()
-        assert word_for(m, Transformation((0, 0, 0, 0))) is None
+        assert m.witness_words[m.index_of(identity(4))] == ()
 
     def test_weak_endo_with_moved_hub(self):
         m = enumerate_class(4, EndoClass.WEAK_END)
-        assert contains(m, Transformation((2, 2, 0, 0)))
+        f = Transformation((2, 2, 0, 0))
+        assert f in m
+        assert m.elements[m.index_of(f)] == f
 
     def test_degree_mismatch(self):
+        # a map of another degree is not a member, and index_of rejects it,
+        # on either side of the byte encoding's limit
         m = enumerate_class(4, EndoClass.END)
-        with pytest.raises(ValueError):
-            contains(m, identity(3))
+        for other in (identity(3), identity(300)):
+            assert other not in m
+            with pytest.raises(ValueError, match="degree mismatch"):
+                m.index_of(other)
+            with pytest.raises(ValueError, match="candidate pool"):
+                rank_exact(m, 4, candidate_pool=[other])
+        assert "0,1,2,3" not in m and (0, 1, 2, 3) not in m
 
 
 class TestGeneratingSets:
