@@ -16,6 +16,7 @@ from .graphs import (
     SimpleGraph,
     cardinality_formula,
     classify,
+    count_class,
     enumerate_class,
     is_regular_element,
     is_regular_monoid,
@@ -73,6 +74,7 @@ __all__ = [
     "check_relation",
     "classify",
     "compose",
+    "count_class",
     "end_star_presentation",
     "enumerate_class",
     "enumerate_quotient",

@@ -15,12 +15,19 @@ single vertex (a superset of all five classes, built by backtracking over
 the vertices) and filters every candidate by these predicates, so the
 closed-form cardinalities and structural descriptions stay testable claims
 instead of build assumptions.
+
+``count_class`` counts the same classes without listing them, past the
+scan's degree limit.  Permuting the leaves in the domain keeps every class,
+so it classifies one map per orbit of Sym(n-1) by the same predicates and
+adds up the orbit sizes.  The scan and the count are independent engines
+that cross-check each other for n <= ``MAX_SCAN_DEGREE``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -204,6 +211,46 @@ def _graph_census(graph: SimpleGraph) -> dict[EndoClass, tuple[tuple[int, ...], 
 def _class_census(n: int) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
     """The census of the star with n vertices, scanned once per degree."""
     return _graph_census(star_graph(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_census(n: int) -> dict[EndoClass, int]:
+    """The size of each class on the star with n vertices, counted over the
+    orbits of Sym(n-1) acting on the leaves in the domain.
+
+    An orbit is fixed by the hub's image and the multiset of leaf images, so
+    one representative per orbit is the hub's image followed by the sorted
+    leaf images.  When the hub maps to a leaf i, the leaves are restricted
+    to {0, i}, the scan's edge restriction.  Each representative is
+    classified by ``_membership_mask``; its orbit has (n-1)!/prod(m!) maps,
+    where the m are the multiplicities of the leaf images.
+    """
+    edges, non_edges, adj = _pair_table(star_graph(n))
+    leaves = n - 1
+    factorial = [math.factorial(m) for m in range(n)]
+    by_mask = [0] * len(_MASK_BITS)
+    for hub in range(n):
+        values = range(n) if hub == 0 else (0, hub)
+        for leaf_images in itertools.combinations_with_replacement(values, leaves):
+            mask = _membership_mask((hub,) + leaf_images, edges, non_edges, adj)
+            if mask:
+                stabiliser = 1
+                for v in set(leaf_images):
+                    stabiliser *= factorial[leaf_images.count(v)]
+                by_mask[mask] += factorial[leaves] // stabiliser
+    counts = [0] * len(_CLASS_ORDER)
+    for mask, orbit_total in enumerate(by_mask):
+        for b in _MASK_BITS[mask]:
+            counts[b] += orbit_total
+    return dict(zip(_CLASS_ORDER, counts))
+
+
+def count_class(n: int, cls: EndoClass) -> int:
+    """The number of maps of degree n in the given class, counted one leaf
+    orbit at a time (no degree limit; all five classes are counted in one
+    pass per degree and kept).  Raises ValueError for n < 1.
+    """
+    return _orbit_census(n)[cls]
 
 
 def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:

@@ -263,14 +263,8 @@ class TransformationMonoid:
         """
         if self._jclasses is None:
             right = self.right_cayley  # first: its closure checks the generators
-            index, product = self._index.get, self._product
-            gens = [self._encode(g.images) for g in self.generators]
-            successors = []
-            for row, x in zip(right, map(self._operand, self._encoded)):
-                left = [index(product(g, x)) for g in gens]  # x -> g * x
-                if None in left:
-                    raise ValueError("elements are not closed under the generators")
-                successors.append(row + tuple(left))
+            columns = self._left_columns(right)  # x -> g * x
+            successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
             components = _strong_components(successors)[::-1]  # top down
             class_of = [0] * len(successors)
             for c, members in enumerate(components):
@@ -286,6 +280,38 @@ class TransformationMonoid:
                 tuple(tuple(sorted(m)) for m in components), tuple(class_of), tuple(above)
             )
         return self._jclasses
+
+    def _left_columns(self, right: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The left Cayley table by columns: ``columns[j][x]`` is the index of
+        generator j times element x.
+
+        Froidure-Pin's recurrence over a breadth-first tree of the right
+        table, with index lookups only: g * identity = g, and g * x =
+        (g * p) * h where x = p * h is x's tree edge.  Raises ValueError when
+        a generator is not an element.
+        """
+        gens = [self._index.get(self._encode(g.images)) for g in self.generators]
+        if None in gens:
+            raise ValueError("elements are not closed under the generators")
+        root = self._index[self._encode(range(self.degree))]
+        tree = []  # (x, p, h) with x = p * h, each p before its children
+        seen = bytearray(len(right))
+        seen[root] = 1
+        frontier = [root]
+        for p in frontier:  # grows while it is walked: breadth-first
+            for h, x in enumerate(right[p]):
+                if not seen[x]:
+                    seen[x] = 1
+                    frontier.append(x)
+                    tree.append((x, p, h))
+        columns = []
+        for g in gens:
+            column = [0] * len(right)
+            column[root] = g
+            for x, p, h in tree:
+                column[x] = right[column[p]][h]
+            columns.append(column)
+        return columns
 
     def _is_idempotent(self, x: int) -> bool:
         """True iff element ``x`` (an index) is idempotent."""

@@ -1,9 +1,11 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
-from starendo import presentation_from_json, sym_presentation
+from starendo import TransformationMonoid, cli, monoid, presentation_from_json, sym_presentation
 from starendo.cli import main
 
 
@@ -147,31 +149,31 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--range", "3..5")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "n,class,formula,enumerated,match"
+        assert lines[0] == "n,class,formula,enumerated,counted,match"
         assert len(lines) == 1 + 12
         assert all(line.endswith(",true") for line in lines[1:])
-        assert "5,aut,24,24,true" in lines
+        assert "5,aut,24,24,24,true" in lines
 
     def test_single_degree(self, capsys):
         code, out, _ = run(capsys, "census", "--range", "1..1")
         assert code == 0
         body = out.splitlines()[1:]
-        assert body == ["1,end,1,1,true", "1,wend,1,1,true"]
+        assert body == ["1,end,1,1,1,true", "1,wend,1,1,1,true"]
 
     def test_rows_skip_classes_outside_formula_range(self, capsys):
         # swend starts at n=2 and aut at n=3, where their closed forms apply
         code, out, _ = run(capsys, "census", "--range", "1..3")
         assert code == 0
         assert out.splitlines()[1:] == [
-            "1,end,1,1,true",
-            "1,wend,1,1,true",
-            "2,end,2,2,true",
-            "2,swend,4,4,true",
-            "2,wend,4,4,true",
-            "3,end,6,6,true",
-            "3,swend,9,9,true",
-            "3,wend,17,17,true",
-            "3,aut,2,2,true",
+            "1,end,1,1,1,true",
+            "1,wend,1,1,1,true",
+            "2,end,2,2,2,true",
+            "2,swend,4,4,4,true",
+            "2,wend,4,4,4,true",
+            "3,end,6,6,6,true",
+            "3,swend,9,9,9,true",
+            "3,wend,17,17,17,true",
+            "3,aut,2,2,2,true",
         ]
 
     def test_deterministic_bytes(self, capsys):
@@ -191,7 +193,7 @@ class TestCensus:
             (n, c) for n in (3, 4) for c in ("end", "swend", "wend", "aut")
         ]
         assert rows[2] == {"n": 3, "class": "wend", "formula": 17, "enumerated": 17,
-                           "match": True}
+                           "counted": 17, "match": True}
 
     def test_output_file_in_both_modes(self, capsys, tmp_path):
         text_path, json_path = tmp_path / "text.csv", tmp_path / "json.csv"
@@ -202,7 +204,7 @@ class TestCensus:
         assert code == 0
         assert json.loads(out)["results"]["output"] == str(json_path)
         assert json_path.read_text() == text_path.read_text()
-        assert text_path.read_text().startswith("n,class,formula,enumerated,match\n")
+        assert text_path.read_text().startswith("n,class,formula,enumerated,counted,match\n")
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "census", "--range", "5..3")
@@ -212,8 +214,58 @@ class TestCensus:
         code, out, _ = run(capsys, "census", "--range", "1..7")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
+            "06e226e21471626365caf7d5b5a8ebbde0aca006d5ac43b0620fe392ca3473bf"
+        )
+        # without the counted column, the CSV is byte for byte the one that
+        # read every size off a built monoid
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0][4] == "counted"
+        buf = io.StringIO()
+        csv.writer(buf).writerows(row[:4] + row[5:] for row in rows)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "2cc10d9ceb9762c67b6759cd2d2a7591ad3270a64109e087cb14a923d27d8c33"
         )
+
+    def test_counts_past_the_scan_limit(self, capsys):
+        code, out, _ = run(capsys, "census", "--range", "9..10")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "9,end,16777224,,16777224,true",
+            "9,swend,16777233,,16777233,true",
+            "9,wend,43048769,,43048769,true",
+            "9,aut,40320,,40320,true",
+            "10,end,387420498,,387420498,true",
+            "10,swend,387420508,,387420508,true",
+            "10,wend,1000004608,,1000004608,true",
+            "10,aut,362880,,362880,true",
+        ]
+        code, out, _ = run(capsys, "census", "--range", "9..9", "--json")
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert [r["enumerated"] for r in rows] == [None] * 4
+        assert [r["counted"] for r in rows] == [r["formula"] for r in rows]
+
+    def test_builds_no_monoid(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census built a monoid")
+
+        monkeypatch.setattr(TransformationMonoid, "__init__", refuse)
+        monkeypatch.setattr(TransformationMonoid, "from_elements", classmethod(refuse))
+        monkeypatch.setattr(monoid, "_closure", refuse)
+        code, out, _ = run(capsys, "census", "--range", "1..6")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 21
+
+    def test_mismatch_is_refuted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_class", lambda n, cls: 7)
+        code, out, _ = run(capsys, "census", "--range", "3..3")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "3,end,6,6,7,false",
+            "3,swend,9,9,7,false",
+            "3,wend,17,17,7,false",
+            "3,aut,2,2,7,false",
+        ]
 
 
 class TestRank:

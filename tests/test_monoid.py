@@ -205,6 +205,31 @@ class TestFromElements:
             direct.witness_words
 
 
+class TestLeftTable:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+                    Transformation
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_columns_are_left_products(self, gens):
+        m = generate([(f"g{i}", t) for i, t in enumerate(gens)])
+        columns = m._left_columns(m.right_cayley)
+        for g, column in zip(m.generators, columns):
+            assert [m.elements[k] for k in column] == [g * x for x in m.elements]
+
+    def test_generator_outside_the_elements_rejected(self):
+        m = generate([("a", Transformation((1, 2, 0)))])
+        outsider = TransformationMonoid(3, m.elements, ["z"], [Transformation((0, 0, 0))])
+        with pytest.raises(ValueError, match="not closed"):
+            outsider._left_columns(m.right_cayley)
+
+
 def _rotation(n, m):
     return Transformation([(i + m) % n for i in range(n)])
 
