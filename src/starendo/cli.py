@@ -25,7 +25,7 @@ from .errors import BudgetExceededError
 from .graphs import (
     MAX_SCAN_DEGREE,
     EndoClass,
-    _class_census,
+    _scan_counts,
     cardinality_formula,
     count_class,
     enumerate_class,
@@ -114,14 +114,14 @@ def cmd_census(args) -> tuple[int, dict, str]:
     lo, hi = args.range
     rows = []
     for n in range(lo, hi + 1):
-        scanned = _class_census(n) if n <= MAX_SCAN_DEGREE else None
+        scanned = _scan_counts(n) if n <= MAX_SCAN_DEGREE else None
         for name in CENSUS_CLASSES:
             cls = EndoClass(name)
             try:
                 formula = cardinality_formula(n, cls)
             except ValueError:  # outside the formula's validity range
                 continue
-            enumerated = None if scanned is None else len(scanned[cls])
+            enumerated = None if scanned is None else scanned[cls]
             counted = count_class(n, cls)
             rows.append({"n": n, "class": name, "formula": formula,
                          "enumerated": enumerated, "counted": counted,
@@ -278,6 +278,8 @@ def _parameters(args) -> dict:
     parameters = {"n": args.n, "class": args.cls}
     if args.command == "rank":
         parameters["max_k"] = args.max_k
+    if args.command == "verify":
+        parameters["budget_classes"] = args.budget_classes
     return parameters
 
 

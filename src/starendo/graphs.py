@@ -11,10 +11,18 @@ checked literally over vertex pairs:
 * automorphism: bijective strong endomorphism.
 
 ``enumerate_class`` scans the maps that send every edge to an edge or to a
-single vertex (a superset of all five classes, built by backtracking over
-the vertices) and filters every candidate by these predicates, so the
-closed-form cardinalities and structural descriptions stay testable claims
-instead of build assumptions.
+single vertex (a superset of all five classes) and filters every candidate
+by these predicates, so the closed-form cardinalities and structural
+descriptions stay testable claims instead of build assumptions.  The scan
+is a column kernel: the candidates are one ``bytes`` column per vertex, and
+each vertex pair is judged across all candidates at once by
+``bytes.translate`` and big-integer arithmetic with one byte per candidate.
+It yields one membership mask per candidate; ``census`` counts the masks,
+and only ``enumerate_class`` builds the maps' image tuples.
+
+``classify`` and ``count_class`` judge one map at a time by
+``_membership_mask``, a second, independent implementation of the same
+definitions.
 
 ``count_class`` counts the same classes without listing them, past the
 scan's degree limit.  Permuting the leaves in the domain keeps every class,
@@ -29,14 +37,15 @@ import enum
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
 from .transform import Transformation, _compose_images
 
 # The largest degree the scan accepts.  At n = 9 the edge-constrained
-# candidate list alone would hold 9**8 + 8 * 2**8 = 43,048,769 tuples.
+# candidates alone would fill 9 columns of 9**8 + 8 * 2**8 = 43,048,769
+# bytes each, and enumerate_class would build as many image tuples.
 MAX_SCAN_DEGREE = 8
 
 
@@ -161,56 +170,169 @@ def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
 
 
-def _edge_constrained_maps(graph: SimpleGraph) -> list[tuple[int, ...]]:
-    """Every map sending each edge to an edge or a single vertex, in lex order.
+# the pair code x * n + y of two images fits a byte up to this degree
+_PAIR_CODE_DEGREE = 16
+# deleting these bytes drops the rows the column kernel has lifted past 127
+_LIFTED = bytes(range(128, 256))
 
-    Vertices are assigned in the order 0, ..., n-1; for each edge (u, v)
-    with u < v the image of v is restricted to the image of u and its
-    neighbours.  Every map in the five classes is a weak endomorphism and
-    so survives this restriction.
+
+def _edge_constrained_columns(graph: SimpleGraph) -> tuple[bytes, ...]:
+    """Every map sending each edge to an edge or a single vertex, as one
+    ``bytes`` column per vertex: row r of column v is the image of v under
+    the r-th map, and the rows are in lex order.
+
+    The vertices are added last to first, so that each new vertex becomes the
+    major key.  For each image x of the new vertex the kept rows are those
+    whose placed neighbours have images in the closed neighbourhood of x: one
+    ``translate`` per neighbour marks a failing row with 0x80, and adding the
+    marks to a column, as big integers with one byte per row, lifts the
+    failing rows past 127 so that one more ``translate`` deletes them.  Every
+    map in the five classes is a weak endomorphism and so survives this
+    restriction.  Needs n < 128.
     """
     n = graph.vertex_count
-    closed = [{x} for x in range(n)]
-    for u, v in graph.edges:
-        closed[u].add(v)
-        closed[v].add(u)
-    options = [tuple(sorted(c)) for c in closed]
-    maps: list[tuple[int, ...]] = [()]
-    for v in range(n):
-        earlier = [u for u in range(v) if graph.has_edge(u, v)]
-        if not earlier:
-            maps = [m + (x,) for m in maps for x in range(n)]
-            continue
-        first, rest = earlier[0], earlier[1:]
-        maps = [
-            m + (x,)
-            for m in maps
-            for x in options[m[first]]
-            if not rest or all(x in closed[m[u]] for u in rest)
-        ]
-    return maps
+    outside = []  # outside[x][y] is 0x80 when y is neither x nor a neighbour of x
+    for x in range(n):
+        table = bytearray(256)
+        for y in range(n):
+            if y != x and not graph.has_edge(x, y):
+                table[y] = 0x80
+        outside.append(bytes(table))
+    columns: dict[int, bytes] = {}
+    rows = 1
+    for v in reversed(range(n)):
+        placed = [u for u in columns if graph.has_edge(u, v)]
+        values = {u: int.from_bytes(col, "big") for u, col in columns.items()} if placed else {}
+        pieces: dict[int, list[bytes]] = {u: [] for u in columns}
+        new: list[bytes] = []
+        for x in range(n):
+            fail = 0
+            for u in placed:
+                fail |= int.from_bytes(columns[u].translate(outside[x]), "big")
+            kept = rows
+            for u, col in columns.items():
+                if fail:
+                    col = (values[u] + fail).to_bytes(rows, "big").translate(None, _LIFTED)
+                    kept = len(col)
+                pieces[u].append(col)
+            new.append(bytes((x,)) * kept)
+        columns = {u: b"".join(p) for u, p in pieces.items()}
+        columns[v] = b"".join(new)
+        rows = len(columns[v])
+    return tuple(columns[v] for v in range(n))
+
+
+# flag bits of one vertex pair; a map's flags are the AND over its pairs
+_ENDO, _WEAK, _KEPT, _INJECTIVE = 1, 2, 8, 16
+
+
+def _mask_of_flags(flags: int) -> int:
+    """A map's membership mask from its ANDed pair flags, combined as in
+    ``_membership_mask``."""
+    if not flags & _WEAK:
+        return 0
+    endo, kept, injective = bool(flags & _ENDO), bool(flags & _KEPT), bool(flags & _INJECTIVE)
+    strong = endo and kept
+    return 2 | endo | strong << 2 | kept << 3 | (strong and injective) << 4
+
+
+_MASK_OF_FLAGS = bytes(map(_mask_of_flags, range(256)))
+
+
+def _pair_masks(columns: Sequence[bytes], graph: SimpleGraph) -> bytes:
+    """The membership mask over ``_CLASS_ORDER`` of every row of ``columns``,
+    one byte per row, from the literal definitions one vertex pair at a time.
+
+    Columns u and v read as big integers with one byte per row give
+    ``col_u * n + col_v``, whose byte r is the pair code x * n + y of the
+    images of row r.  A 256-byte table reads the pair's flags off it: an
+    edge keeps ``_ENDO`` when its images are adjacent and ``_WEAK`` when
+    they are adjacent or equal; a non-edge keeps ``_KEPT`` when its images
+    are not adjacent; every pair keeps ``_INJECTIVE`` when its images
+    differ.  The flags of all pairs are ANDed as big integers, and
+    ``_mask_of_flags`` combines them.  Needs n <= ``_PAIR_CODE_DEGREE``.
+    """
+    n = graph.vertex_count
+    rows = len(columns[0])
+    _, _, adj = _pair_table(graph)
+    non_edge_table, edge_table = bytearray(256), bytearray(256)
+    for x in range(n):
+        for y in range(n):
+            injective = _INJECTIVE if x != y else 0
+            edge_table[x * n + y] = injective | _KEPT | (
+                _ENDO | _WEAK if adj[x][y] else _WEAK if x == y else 0
+            )
+            non_edge_table[x * n + y] = injective | _ENDO | _WEAK | (0 if adj[x][y] else _KEPT)
+    tables = (bytes(non_edge_table), bytes(edge_table))  # indexed by adjacency
+    values = [int.from_bytes(col, "big") for col in columns]
+    flags = int.from_bytes(bytes((_ENDO | _WEAK | _KEPT | _INJECTIVE,)) * rows, "big")
+    for u in range(n):
+        scaled = values[u] * n
+        for v in range(u + 1, n):
+            codes = (scaled + values[v]).to_bytes(rows, "big")
+            flags &= int.from_bytes(codes.translate(tables[adj[u][v]]), "big")
+    return flags.to_bytes(rows, "big").translate(_MASK_OF_FLAGS)
+
+
+class _Scan(NamedTuple):
+    """The candidates of a graph as columns, and the mask of every row."""
+
+    columns: tuple[bytes, ...]
+    masks: bytes
+
+
+def _scan(graph: SimpleGraph) -> _Scan:
+    """The edge-constrained candidates of ``graph`` and their membership masks.
+
+    Raises ValueError above ``_PAIR_CODE_DEGREE`` vertices.
+    """
+    if graph.vertex_count > _PAIR_CODE_DEGREE:
+        raise ValueError(
+            f"the scan handles at most {_PAIR_CODE_DEGREE} vertices, got {graph.vertex_count}"
+        )
+    columns = _edge_constrained_columns(graph)
+    return _Scan(columns, _pair_masks(columns, graph))
+
+
+# _SELECT[b][mask] is 1 when bit b of the mask is set
+_SELECT = tuple(bytes(mask >> b & 1 for mask in range(256)) for b in range(len(_CLASS_ORDER)))
+
+
+def _rows_by_class(scan: _Scan) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
+    """The image tuples of each class's rows, in lex order."""
+    rows = list(zip(*scan.columns))
+    return {
+        c: tuple(itertools.compress(rows, scan.masks.translate(select)))
+        for c, select in zip(_CLASS_ORDER, _SELECT)
+    }
 
 
 def _graph_census(graph: SimpleGraph) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
     """The maps of each class on ``graph``, in lex order.
 
     The edge-constrained scan proposes candidates; the literal definitions
-    decide membership of every one of them.  Each map is appended to one
-    list per bit of its membership mask.
+    decide membership of every one of them.
     """
-    edges, non_edges, adj = _pair_table(graph)
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in _CLASS_ORDER]
-    appends = [tuple(buckets[b].append for b in bits) for bits in _MASK_BITS]
-    for img in _edge_constrained_maps(graph):
-        for append in appends[_membership_mask(img, edges, non_edges, adj)]:
-            append(img)
-    return {c: tuple(bucket) for c, bucket in zip(_CLASS_ORDER, buckets)}
+    return _rows_by_class(_scan(graph))
+
+
+@functools.lru_cache(maxsize=None)
+def _star_scan(n: int) -> _Scan:
+    """The scan of the star with n vertices, once per degree."""
+    return _scan(star_graph(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _class_census(n: int) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
-    """The census of the star with n vertices, scanned once per degree."""
-    return _graph_census(star_graph(n))
+    """The census of the star with n vertices, as image tuples."""
+    return _rows_by_class(_star_scan(n))
+
+
+def _scan_counts(n: int) -> dict[EndoClass, int]:
+    """The size of each class on the star with n vertices, read off the
+    scan's masks without building a row."""
+    masks = _star_scan(n).masks
+    return {c: masks.translate(select).count(1) for c, select in zip(_CLASS_ORDER, _SELECT)}
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,8 +22,9 @@ from x.
 
 from __future__ import annotations
 
+import operator
 import time
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -183,8 +184,8 @@ class TransformationMonoid:
     index of the product.  The words and the table are computed from the
     generators on first access and then kept; the generators must then
     generate exactly the elements.  The constructor takes ``Transformation``
-    objects, or encoded values as :meth:`generate` and :meth:`from_elements`
-    pass them.
+    objects, or, with ``encoded``, values already encoded as :meth:`generate`
+    and :meth:`from_elements` pass them.
     """
 
     def __init__(
@@ -193,13 +194,15 @@ class TransformationMonoid:
         elements: Iterable[Transformation],
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
+        *,
+        encoded: bool = False,
     ):
         self.degree = degree
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
         self._encode = _encoder(degree)
         self._operand, self._product = _multiplication(degree)
-        self._encoded = tuple(map(self._encode, elements))
+        self._encoded = tuple(elements) if encoded else tuple(map(self._encode, elements))
         self._index = dict(zip(self._encoded, range(len(self._encoded))))
         if len(self._index) != len(self._encoded):
             raise ValueError("duplicate elements")
@@ -365,7 +368,7 @@ class TransformationMonoid:
         found = _closure(degree, [t.images for t in gens], max_elements, structure=True)
         if found is None:
             raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
-        monoid = cls(degree, found[0], names, gens)
+        monoid = cls(degree, found[0], names, gens, encoded=True)
         monoid._build_structure(found)
         monoid._proven_generators = frozenset(t.images for t in gens)
         return monoid
@@ -379,7 +382,9 @@ class TransformationMonoid:
         """Package a known element set in lexicographic order.
 
         The elements are ``Transformation`` objects or image sequences, each
-        encoded once.  The named generators must generate exactly the given
+        encoded once.  Duplicates are dropped and the rest sorted, unless
+        the encoded input is already strictly increasing, as the scan's
+        rows are.  The named generators must generate exactly the given
         set; this is checked here, by a closure that collects elements only
         and stops past the set's size, and recorded for
         :func:`is_generating_set`.  The check also rejects a set of mixed
@@ -393,7 +398,10 @@ class TransformationMonoid:
         degree = len(tuple(elements[0]))
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
-        monoid = cls(degree, sorted(dict.fromkeys(map(_encoder(degree), elements))), names, gens)
+        encoded = tuple(map(_encoder(degree), elements))
+        if not all(map(operator.lt, encoded, islice(encoded, 1, None))):
+            encoded = sorted(dict.fromkeys(encoded))
+        monoid = cls(degree, encoded, names, gens, encoded=True)
         found = _closure(degree, [t.images for t in gens], len(monoid))
         # a closure past the set's size cannot be the set; the closure's
         # elements are distinct, so equal sizes and inclusion make the two

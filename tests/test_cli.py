@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from starendo import TransformationMonoid, cli, monoid, presentation_from_json, sym_presentation
+from starendo import (
+    TransformationMonoid,
+    cli,
+    graphs,
+    monoid,
+    presentation_from_json,
+    sym_presentation,
+)
 from starendo.cli import main
 
 
@@ -95,6 +102,14 @@ class TestVerify:
         assert set(counters) == {"classes_defined", "peak_live", "coincidences"}
         assert counters["classes_defined"] - counters["coincidences"] == 30
         assert counters["peak_live"] >= 30
+
+    def test_json_echoes_class_budget(self, capsys):
+        _, out, _ = run(capsys, "verify", "--n", "3", "--class", "end", "--json")
+        assert json.loads(out)["parameters"] == {"n": 3, "class": "end",
+                                                 "budget_classes": 10**6}
+        _, out, _ = run(capsys, "verify", "--n", "3", "--class", "end", "--json",
+                        "--budget-classes", "5000")
+        assert json.loads(out)["parameters"]["budget_classes"] == 5000
 
     def test_budget_exit_code_and_counters(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end",
@@ -244,6 +259,15 @@ class TestCensus:
         rows = json.loads(out)["results"]["rows"]
         assert [r["enumerated"] for r in rows] == [None] * 4
         assert [r["counted"] for r in rows] == [r["formula"] for r in rows]
+
+    def test_builds_no_row_tuples(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("census built the scan's row tuples")
+
+        monkeypatch.setattr(graphs, "_class_census", refuse)
+        code, out, _ = run(capsys, "census", "--range", "1..7")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 25
 
     def test_builds_no_monoid(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

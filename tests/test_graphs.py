@@ -20,7 +20,15 @@ from starendo import (
     standard_generators,
     star_graph,
 )
-from starendo.graphs import _class_census, _class_generators, _graph_census
+from starendo.graphs import (
+    _class_census,
+    _class_generators,
+    _edge_constrained_columns,
+    _graph_census,
+    _membership_mask,
+    _pair_masks,
+    _pair_table,
+)
 
 END = EndoClass.END
 WEND = EndoClass.WEAK_END
@@ -169,6 +177,48 @@ class TestEdgeConstrainedScan:
     def test_non_star_graphs_match_brute_force(self):
         for name, g in SMALL_GRAPHS.items():
             assert _graph_census(g) == brute_force_census(g), name
+
+
+def per_map_masks(columns, g):
+    """``_membership_mask`` of every row of ``columns``, one byte per row."""
+    edges, non_edges, adj = _pair_table(g)
+    return bytes(_membership_mask(img, edges, non_edges, adj) for img in zip(*columns))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+class TestColumnKernel:
+    """The column kernel against the per-map predicate and the brute-force census."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_star_candidates(self, n):
+        # every candidate is a weak endomorphism of the star, in strict lex order
+        g = star_graph(n)
+        columns = _edge_constrained_columns(g)
+        rows = list(zip(*columns))
+        assert len(columns) == n
+        assert len(rows) == cardinality_formula(n, WEND)
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert _pair_masks(columns, g) == per_map_masks(columns, g)
+
+    def test_all_maps_of_small_graphs(self):
+        for name, g in SMALL_GRAPHS.items():
+            n = g.vertex_count
+            columns = tuple(map(bytes, zip(*product(range(n), repeat=n))))
+            assert _pair_masks(columns, g) == per_map_masks(columns, g), name
+
+    @given(small_graphs())
+    def test_random_graphs_match_brute_force(self, g):
+        assert _graph_census(g) == brute_force_census(g)
+
+    def test_pair_code_limit(self):
+        with pytest.raises(ValueError, match="at most 16"):
+            _graph_census(SimpleGraph(17, []))
 
 
 class TestEnumerate:

@@ -130,6 +130,15 @@ class TestFromElements:
         with pytest.raises(ValueError):
             TransformationMonoid.from_elements(elems, [("a0", Transformation((0, 2, 1, 3)))])
 
+    def test_input_order_and_duplicates(self):
+        # strictly increasing input is taken as it is; any other input is
+        # deduplicated and sorted first, to the same monoid
+        m = enumerate_class(4, EndoClass.WEAK_END)
+        named = list(zip(m.generator_names, m.generators))
+        rows = [t.images for t in m.elements]
+        for elems in (rows, rows[::-1], rows[:1] + rows, rows + list(m.elements[:3])):
+            assert TransformationMonoid.from_elements(elems, named)._encoded == m._encoded
+
     def test_generators_of_a_superset_rejected_at_once(self):
         # T_8's generators reach 8^8 maps, past any element budget; the
         # closure stops one element past the given set's size instead
