@@ -91,7 +91,7 @@ class CongruenceTable:
         Raises ValueError when ``start`` is not a class index or a letter is
         not in the alphabet.
         """
-        if not (isinstance(start, int) and 0 <= start < self.size):
+        if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start < self.size:
             raise ValueError(f"start {start!r} is not a class index in 0..{self.size - 1}")
         pos = {x: i for i, x in enumerate(self.alphabet)}
         q = start

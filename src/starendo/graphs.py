@@ -11,14 +11,15 @@ checked literally over vertex pairs:
 * automorphism: bijective strong endomorphism.
 
 ``enumerate_class`` scans the maps that send every edge to an edge or to a
-single vertex (a superset of all five classes) and filters every candidate
-by these predicates, so the closed-form cardinalities and structural
-descriptions stay testable claims instead of build assumptions.  The scan
-is a column kernel: the candidates are one ``bytes`` column per vertex, and
-each vertex pair is judged across all candidates at once by
+single vertex (a superset of all five classes, stated once by
+``_leaf_images``) and filters every candidate by these predicates, so the
+closed-form cardinalities and structural descriptions stay testable claims
+instead of build assumptions.  The scan is a column kernel: the candidates
+are one ``bytes`` column per vertex, written block by block by ``bytes``
+repetition, and each vertex pair is judged across all candidates at once by
 ``bytes.translate`` and big-integer arithmetic with one byte per candidate.
 It yields one membership mask per candidate; ``census`` counts the masks,
-and only ``enumerate_class`` builds the maps' image tuples.
+and only ``enumerate_class`` builds the maps' rows, as ``bytes``.
 
 ``classify`` and ``count_class`` judge one map at a time by
 ``_membership_mask``, a second, independent implementation of the same
@@ -37,15 +38,17 @@ import enum
 import functools
 import itertools
 import math
-from typing import Iterable, NamedTuple, Sequence
+import operator
+import struct
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
 from .monoid import TransformationMonoid
 from .transform import Transformation, _compose_images
 
-# The largest degree the scan accepts.  At n = 9 the edge-constrained
-# candidates alone would fill 9 columns of 9**8 + 8 * 2**8 = 43,048,769
-# bytes each, and enumerate_class would build as many image tuples.
+# The largest degree the scan accepts.  At n = 9 the candidates alone would
+# fill 9 columns of 9**8 + 8 * 2**8 = 43,048,769 bytes each, and
+# enumerate_class would build as many rows.
 MAX_SCAN_DEGREE = 8
 
 
@@ -170,58 +173,38 @@ def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
 
 
+def _leaf_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """The images the leaves of the star may take, indexed by the hub's image.
+
+    A map sends every edge to an edge or a single vertex exactly when it
+    fixes the hub and sends the leaves anywhere, or sends the hub to a leaf
+    h and every leaf to 0 or h.  Every weak endomorphism, and so every map
+    of the five classes, is such a map.
+    """
+    return (tuple(range(n)),) + tuple((0, h) for h in range(1, n))
+
+
+def _star_columns(n: int) -> tuple[bytes, ...]:
+    """Every map of the star restricted by ``_leaf_images``, as one ``bytes``
+    column per vertex: row r of column v is the image of v under the r-th
+    map, and the rows are in lex order.
+
+    The rows come in one block per hub image, in increasing order.  Inside a
+    block whose leaves take k values, leaf i holds each value for
+    k**(n-1-i) rows in turn, and that run repeats k**(i-1) times.
+    """
+    blocks: list[list[bytes]] = [[] for _ in range(n)]
+    for hub, values in enumerate(_leaf_images(n)):
+        k = len(values)
+        blocks[0].append(bytes((hub,)) * k ** (n - 1))
+        for leaf in range(1, n):
+            run = b"".join(bytes((x,)) * k ** (n - 1 - leaf) for x in values)
+            blocks[leaf].append(run * k ** (leaf - 1))
+    return tuple(map(b"".join, blocks))
+
+
 # the pair code x * n + y of two images fits a byte up to this degree
 _PAIR_CODE_DEGREE = 16
-# deleting these bytes drops the rows the column kernel has lifted past 127
-_LIFTED = bytes(range(128, 256))
-
-
-def _edge_constrained_columns(graph: SimpleGraph) -> tuple[bytes, ...]:
-    """Every map sending each edge to an edge or a single vertex, as one
-    ``bytes`` column per vertex: row r of column v is the image of v under
-    the r-th map, and the rows are in lex order.
-
-    The vertices are added last to first, so that each new vertex becomes the
-    major key.  For each image x of the new vertex the kept rows are those
-    whose placed neighbours have images in the closed neighbourhood of x: one
-    ``translate`` per neighbour marks a failing row with 0x80, and adding the
-    marks to a column, as big integers with one byte per row, lifts the
-    failing rows past 127 so that one more ``translate`` deletes them.  Every
-    map in the five classes is a weak endomorphism and so survives this
-    restriction.  Needs n < 128.
-    """
-    n = graph.vertex_count
-    outside = []  # outside[x][y] is 0x80 when y is neither x nor a neighbour of x
-    for x in range(n):
-        table = bytearray(256)
-        for y in range(n):
-            if y != x and not graph.has_edge(x, y):
-                table[y] = 0x80
-        outside.append(bytes(table))
-    columns: dict[int, bytes] = {}
-    rows = 1
-    for v in reversed(range(n)):
-        placed = [u for u in columns if graph.has_edge(u, v)]
-        values = {u: int.from_bytes(col, "big") for u, col in columns.items()} if placed else {}
-        pieces: dict[int, list[bytes]] = {u: [] for u in columns}
-        new: list[bytes] = []
-        for x in range(n):
-            fail = 0
-            for u in placed:
-                fail |= int.from_bytes(columns[u].translate(outside[x]), "big")
-            kept = rows
-            for u, col in columns.items():
-                if fail:
-                    col = (values[u] + fail).to_bytes(rows, "big").translate(None, _LIFTED)
-                    kept = len(col)
-                pieces[u].append(col)
-            new.append(bytes((x,)) * kept)
-        columns = {u: b"".join(p) for u, p in pieces.items()}
-        columns[v] = b"".join(new)
-        rows = len(columns[v])
-    return tuple(columns[v] for v in range(n))
-
-
 # flag bits of one vertex pair; a map's flags are the AND over its pairs
 _ENDO, _WEAK, _KEPT, _INJECTIVE = 1, 2, 8, 16
 
@@ -250,9 +233,12 @@ def _pair_masks(columns: Sequence[bytes], graph: SimpleGraph) -> bytes:
     they are adjacent or equal; a non-edge keeps ``_KEPT`` when its images
     are not adjacent; every pair keeps ``_INJECTIVE`` when its images
     differ.  The flags of all pairs are ANDed as big integers, and
-    ``_mask_of_flags`` combines them.  Needs n <= ``_PAIR_CODE_DEGREE``.
+    ``_mask_of_flags`` combines them.  Raises ValueError above
+    ``_PAIR_CODE_DEGREE`` vertices.
     """
     n = graph.vertex_count
+    if n > _PAIR_CODE_DEGREE:
+        raise ValueError(f"the scan handles at most {_PAIR_CODE_DEGREE} vertices, got {n}")
     rows = len(columns[0])
     _, _, adj = _pair_table(graph)
     non_edge_table, edge_table = bytearray(256), bytearray(256)
@@ -274,64 +260,41 @@ def _pair_masks(columns: Sequence[bytes], graph: SimpleGraph) -> bytes:
     return flags.to_bytes(rows, "big").translate(_MASK_OF_FLAGS)
 
 
-class _Scan(NamedTuple):
-    """The candidates of a graph as columns, and the mask of every row."""
-
-    columns: tuple[bytes, ...]
-    masks: bytes
-
-
-def _scan(graph: SimpleGraph) -> _Scan:
-    """The edge-constrained candidates of ``graph`` and their membership masks.
-
-    Raises ValueError above ``_PAIR_CODE_DEGREE`` vertices.
-    """
-    if graph.vertex_count > _PAIR_CODE_DEGREE:
-        raise ValueError(
-            f"the scan handles at most {_PAIR_CODE_DEGREE} vertices, got {graph.vertex_count}"
-        )
-    columns = _edge_constrained_columns(graph)
-    return _Scan(columns, _pair_masks(columns, graph))
-
-
 # _SELECT[b][mask] is 1 when bit b of the mask is set
 _SELECT = tuple(bytes(mask >> b & 1 for mask in range(256)) for b in range(len(_CLASS_ORDER)))
 
 
-def _rows_by_class(scan: _Scan) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
-    """The image tuples of each class's rows, in lex order."""
-    rows = list(zip(*scan.columns))
+@functools.lru_cache(maxsize=None)
+def _star_scan(n: int) -> tuple[tuple[bytes, ...], bytes]:
+    """The candidate columns of the star with n vertices and the membership
+    mask of every row, once per degree."""
+    columns = _star_columns(n)
+    return columns, _pair_masks(columns, star_graph(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_census(n: int) -> dict[EndoClass, tuple[bytes, ...]]:
+    """The maps of each class on the star with n vertices, in lex order, as
+    the ``bytes`` of their images; the classes share their row objects.
+
+    The rows are read off the columns interleaved into one buffer, n bytes
+    per row.
+    """
+    columns, masks = _star_scan(n)
+    table = bytearray(n * len(masks))
+    for v, column in enumerate(columns):
+        table[v::n] = column
+    rows = list(map(operator.itemgetter(0), struct.iter_unpack(f"{n}s", table)))
     return {
-        c: tuple(itertools.compress(rows, scan.masks.translate(select)))
+        c: tuple(itertools.compress(rows, masks.translate(select)))
         for c, select in zip(_CLASS_ORDER, _SELECT)
     }
-
-
-def _graph_census(graph: SimpleGraph) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
-    """The maps of each class on ``graph``, in lex order.
-
-    The edge-constrained scan proposes candidates; the literal definitions
-    decide membership of every one of them.
-    """
-    return _rows_by_class(_scan(graph))
-
-
-@functools.lru_cache(maxsize=None)
-def _star_scan(n: int) -> _Scan:
-    """The scan of the star with n vertices, once per degree."""
-    return _scan(star_graph(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _class_census(n: int) -> dict[EndoClass, tuple[tuple[int, ...], ...]]:
-    """The census of the star with n vertices, as image tuples."""
-    return _rows_by_class(_star_scan(n))
 
 
 def _scan_counts(n: int) -> dict[EndoClass, int]:
     """The size of each class on the star with n vertices, read off the
     scan's masks without building a row."""
-    masks = _star_scan(n).masks
+    _, masks = _star_scan(n)
     return {c: masks.translate(select).count(1) for c, select in zip(_CLASS_ORDER, _SELECT)}
 
 
@@ -342,17 +305,16 @@ def _orbit_census(n: int) -> dict[EndoClass, int]:
 
     An orbit is fixed by the hub's image and the multiset of leaf images, so
     one representative per orbit is the hub's image followed by the sorted
-    leaf images.  When the hub maps to a leaf i, the leaves are restricted
-    to {0, i}, the scan's edge restriction.  Each representative is
-    classified by ``_membership_mask``; its orbit has (n-1)!/prod(m!) maps,
-    where the m are the multiplicities of the leaf images.
+    leaf images, drawn from ``_leaf_images``, the scan's restriction.  Each
+    representative is classified by ``_membership_mask``; its orbit has
+    (n-1)!/prod(m!) maps, where the m are the multiplicities of the leaf
+    images.
     """
     edges, non_edges, adj = _pair_table(star_graph(n))
     leaves = n - 1
     factorial = [math.factorial(m) for m in range(n)]
     by_mask = [0] * len(_MASK_BITS)
-    for hub in range(n):
-        values = range(n) if hub == 0 else (0, hub)
+    for hub, values in enumerate(_leaf_images(n)):
         for leaf_images in itertools.combinations_with_replacement(values, leaves):
             mask = _membership_mask((hub,) + leaf_images, edges, non_edges, adj)
             if mask:
@@ -436,8 +398,8 @@ def _class_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]
 def enumerate_class(n: int, cls: EndoClass) -> TransformationMonoid:
     """All transformations of degree n in the given class, in lex order.
 
-    An edge-constrained scan with the literal predicates as final filter;
-    raises BudgetExceededError for degrees above ``MAX_SCAN_DEGREE``.
+    A scan of the star's candidates with the literal predicates as final
+    filter; raises BudgetExceededError for degrees above ``MAX_SCAN_DEGREE``.
     Witness words and the Cayley table are built on first use.
     """
     if n < 1:

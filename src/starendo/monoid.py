@@ -382,20 +382,23 @@ class TransformationMonoid:
         """Package a known element set in lexicographic order.
 
         The elements are ``Transformation`` objects or image sequences, each
-        encoded once.  Duplicates are dropped and the rest sorted, unless
-        the encoded input is already strictly increasing, as the scan's
-        rows are.  The named generators must generate exactly the given
-        set; this is checked here, by a closure that collects elements only
-        and stops past the set's size, and recorded for
-        :func:`is_generating_set`.  The check also rejects a set of mixed
-        degrees and any image sequence that is not a map.  Witness words and
-        the Cayley table are built on first access.  An empty generator list
-        generates only the trivial monoid.
+        encoded once; the scan's rows, ``bytes`` already, are kept as they
+        are.  Duplicates are dropped and the rest sorted, unless the encoded
+        input is already strictly increasing, as the scan's rows are.  The
+        named generators must generate exactly the given set; this is
+        checked here, by a closure that collects elements only and stops
+        past the set's size, and recorded for :func:`is_generating_set`.
+        The check also rejects a set of mixed degrees and any image sequence
+        that is not a map; a set of degree 0 raises ValueError before it.
+        Witness words and the Cayley table are built on first access.  An
+        empty generator list generates only the trivial monoid.
         """
         elements = tuple(elements)
         if not elements:
             raise ValueError("element set is empty")
         degree = len(tuple(elements[0]))
+        if degree < 1:
+            raise ValueError("a transformation needs degree at least 1")
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
         encoded = tuple(map(_encoder(degree), elements))

@@ -291,7 +291,7 @@ class TestEnumerateQuotient:
         for word in (("q",), (letter, "q")):
             with pytest.raises(ValueError, match="letter 'q'"):
                 table.trace(word)
-        for start in (99, table.size, -1):
+        for start in (99, table.size, -1, True, False):
             with pytest.raises(ValueError, match=f"start {start} "):
                 table.trace((letter,), start)
         last = table.size - 1

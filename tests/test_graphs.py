@@ -21,13 +21,14 @@ from starendo import (
     star_graph,
 )
 from starendo.graphs import (
+    _CLASS_ORDER,
+    _MASK_BITS,
     _class_census,
     _class_generators,
-    _edge_constrained_columns,
-    _graph_census,
     _membership_mask,
     _pair_masks,
     _pair_table,
+    _star_columns,
 )
 
 END = EndoClass.END
@@ -166,17 +167,45 @@ def brute_force_census(g):
     """Literal ``classify`` filter over all n^n maps, per class, in lex order."""
     n = g.vertex_count
     maps = [(img, classify(Transformation(img), g)) for img in product(range(n), repeat=n)]
-    return {c: tuple(img for img, got in maps if c in got) for c in EndoClass}
+    return {c: tuple(bytes(img) for img, got in maps if c in got) for c in EndoClass}
+
+
+def all_map_columns(n):
+    """All n^n maps of degree n in lex order, as one ``bytes`` column per vertex."""
+    return tuple(map(bytes, zip(*product(range(n), repeat=n))))
+
+
+def mask_classes(mask):
+    return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
+
+
+def assert_kernel_matches_definitions(g):
+    """``_pair_masks`` on all n^n maps of ``g`` against ``literal_classes``, map by map."""
+    columns = all_map_columns(g.vertex_count)
+    for img, mask in zip(zip(*columns), _pair_masks(columns, g)):
+        assert mask_classes(mask) == literal_classes(img, g), (g, img)
 
 
 class TestEdgeConstrainedScan:
     def test_star_matches_brute_force(self):
         for n in range(1, 7):
-            assert _graph_census(star_graph(n)) == brute_force_census(star_graph(n)), n
+            assert _class_census(n) == brute_force_census(star_graph(n)), n
+
+    def test_star_n7_matches_every_map(self):
+        # all 7^7 maps through the per-map predicate, against the scan's rows
+        n = 7
+        edges, non_edges, adj = _pair_table(star_graph(n))
+        literal = {c: [] for c in _CLASS_ORDER}
+        for img in product(range(n), repeat=n):
+            for b in _MASK_BITS[_membership_mask(img, edges, non_edges, adj)]:
+                literal[_CLASS_ORDER[b]].append(bytes(img))
+        census = _class_census(n)
+        for c in _CLASS_ORDER:
+            assert census[c] == tuple(literal[c]), c
 
     def test_non_star_graphs_match_brute_force(self):
-        for name, g in SMALL_GRAPHS.items():
-            assert _graph_census(g) == brute_force_census(g), name
+        for g in SMALL_GRAPHS.values():
+            assert_kernel_matches_definitions(g)
 
 
 def per_map_masks(columns, g):
@@ -193,32 +222,33 @@ def small_graphs(draw):
 
 
 class TestColumnKernel:
-    """The column kernel against the per-map predicate and the brute-force census."""
+    """The column kernel against the per-map predicate and the literal definitions."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_star_candidates(self, n):
         # every candidate is a weak endomorphism of the star, in strict lex order
         g = star_graph(n)
-        columns = _edge_constrained_columns(g)
+        columns = _star_columns(n)
         rows = list(zip(*columns))
         assert len(columns) == n
         assert len(rows) == cardinality_formula(n, WEND)
         assert all(a < b for a, b in zip(rows, rows[1:]))
-        assert _pair_masks(columns, g) == per_map_masks(columns, g)
+        masks = _pair_masks(columns, g)
+        assert masks == per_map_masks(columns, g)
+        assert all(WEND in mask_classes(mask) for mask in masks)
 
     def test_all_maps_of_small_graphs(self):
         for name, g in SMALL_GRAPHS.items():
-            n = g.vertex_count
-            columns = tuple(map(bytes, zip(*product(range(n), repeat=n))))
+            columns = all_map_columns(g.vertex_count)
             assert _pair_masks(columns, g) == per_map_masks(columns, g), name
 
     @given(small_graphs())
     def test_random_graphs_match_brute_force(self, g):
-        assert _graph_census(g) == brute_force_census(g)
+        assert_kernel_matches_definitions(g)
 
     def test_pair_code_limit(self):
         with pytest.raises(ValueError, match="at most 16"):
-            _graph_census(SimpleGraph(17, []))
+            _pair_masks((b"\0",) * 17, SimpleGraph(17, []))
 
 
 class TestEnumerate:

@@ -196,6 +196,19 @@ class TestFromElements:
         assert len(m) == 1
         assert m.witness_words == ((),)
 
+    def test_rejects_degree_zero(self):
+        # the public constructor rejects Transformation([]); so does the package
+        for elems in ([()], [b""]):
+            with pytest.raises(ValueError, match="degree at least 1"):
+                TransformationMonoid.from_elements(elems, [])
+
+    def test_scan_rows_kept_as_given(self):
+        # the scan's bytes rows are stored as the same objects, shared by END and SEND
+        end = enumerate_class(4, EndoClass.END)
+        send = enumerate_class(4, EndoClass.STRONG_END)
+        assert len(end) == len(send)
+        assert all(a is b for a, b in zip(end._encoded, send._encoded))
+
     def test_rejects_generators_of_another_degree(self):
         cases = [
             (enumerate_class(3, EndoClass.END).elements, (1, 0)),
