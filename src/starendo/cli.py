@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -215,7 +216,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call.
+
+    Reusing it is safe: ``parse_args`` returns a fresh namespace each time,
+    and the handlers it dispatches to look up their engines at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="starendo",
         description="Endomorphism-type monoids of star graphs: enumeration and "

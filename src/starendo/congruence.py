@@ -322,6 +322,11 @@ def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
     )
 
 
+def _require_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
+
+
 def enumerate_quotient(
     pres: Presentation, bound: int, *, max_classes: int | None = None
 ) -> Union[CongruenceTable, QuotientExceeded]:
@@ -332,12 +337,12 @@ def enumerate_quotient(
     the exact size when enumeration finished above the bound, or
     ``completed=False`` when the internal class budget (``max_classes``,
     default scaled from the bound) ran out first.  Raises ValueError when
-    ``bound`` or ``max_classes`` is below 1.
+    ``bound`` or ``max_classes`` is not an ``int`` (a ``bool`` is not one)
+    of at least 1.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-    if max_classes is not None and max_classes < 1:
-        raise ValueError(f"max_classes must be at least 1, got {max_classes}")
+    _require_count("bound", bound)
+    if max_classes is not None:
+        _require_count("max_classes", max_classes)
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations

@@ -30,6 +30,11 @@ scan's degree limit.  Permuting the leaves in the domain keeps every class,
 so it classifies one map per orbit of Sym(n-1) by the same predicates and
 adds up the orbit sizes.  The scan and the count are independent engines
 that cross-check each other for n <= ``MAX_SCAN_DEGREE``.
+
+``enumerate_class``, ``count_class``, ``standard_generators`` and
+``cardinality_formula`` take a class as an ``EndoClass`` or its value
+(``"end"``, ``"wend"``, ...) and raise ValueError for an unknown class or a
+degree that is not an ``int`` of at least 1 (a ``bool`` is not a degree).
 """
 
 from __future__ import annotations
@@ -329,12 +334,20 @@ def _orbit_census(n: int) -> dict[EndoClass, int]:
     return dict(zip(_CLASS_ORDER, counts))
 
 
-def count_class(n: int, cls: EndoClass) -> int:
+def _degree(n: int) -> int:
+    """``n`` itself when it is a degree: an ``int`` (not a ``bool``) of at
+    least 1; raises ValueError otherwise."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"invalid degree {n!r}")
+    return n
+
+
+def count_class(n: int, cls: EndoClass | str) -> int:
     """The number of maps of degree n in the given class, counted one leaf
     orbit at a time (no degree limit; all five classes are counted in one
-    pass per degree and kept).  Raises ValueError for n < 1.
+    pass per degree and kept).  Raises ValueError for a bad degree or class.
     """
-    return _orbit_census(n)[cls]
+    return _orbit_census(_degree(n))[EndoClass(cls)]
 
 
 def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:
@@ -348,14 +361,15 @@ def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:
     return {"a0": a0, "b0": b0, "e0": e0, "c0": c0, "z": z, "z0": z0}
 
 
-def standard_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]]:
+def standard_generators(n: int, cls: EndoClass | str) -> list[tuple[str, Transformation]]:
     """The named generating set of minimum size for the given class.
 
     Supported for the endomorphism, strong weak endomorphism and weak
     endomorphism monoids with n >= 3.  For n = 3 the reduced sets are
     returned (a0 = b0 and e0 = z*z there).
     """
-    if n < 3:
+    cls = EndoClass(cls)
+    if _degree(n) < 3:
         raise ValueError(f"standard generators need n >= 3, got {n}")
     if cls not in (EndoClass.END, EndoClass.STRONG_WEAK_END, EndoClass.WEAK_END):
         raise ValueError(f"no standard generating set for class {cls.name}")
@@ -395,21 +409,20 @@ def _class_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]
     return standard_generators(n, cls)
 
 
-def enumerate_class(n: int, cls: EndoClass) -> TransformationMonoid:
+def enumerate_class(n: int, cls: EndoClass | str) -> TransformationMonoid:
     """All transformations of degree n in the given class, in lex order.
 
     A scan of the star's candidates with the literal predicates as final
     filter; raises BudgetExceededError for degrees above ``MAX_SCAN_DEGREE``.
     Witness words and the Cayley table are built on first use.
     """
-    if n < 1:
-        raise ValueError(f"invalid degree {n}")
-    if n > MAX_SCAN_DEGREE:
+    cls = EndoClass(cls)
+    if _degree(n) > MAX_SCAN_DEGREE:
         raise BudgetExceededError(f"degree {n} exceeds the scan limit {MAX_SCAN_DEGREE}")
     return TransformationMonoid.from_elements(_class_census(n)[cls], _class_generators(n, cls))
 
 
-def cardinality_formula(n: int, cls: EndoClass) -> int:
+def cardinality_formula(n: int, cls: EndoClass | str) -> int:
     """Closed-form size of the class monoid on the star with n vertices.
 
     Validity ranges: endomorphisms and weak endomorphisms for n >= 1,
@@ -417,8 +430,8 @@ def cardinality_formula(n: int, cls: EndoClass) -> int:
     strong endomorphism monoid coincides with the endomorphism monoid and
     shares its formula.
     """
-    if n < 1:
-        raise ValueError(f"invalid degree {n}")
+    cls = EndoClass(cls)
+    _degree(n)
     if cls in (EndoClass.END, EndoClass.STRONG_END):
         return (n - 1) ** (n - 1) + n - 1
     if cls is EndoClass.STRONG_WEAK_END:
@@ -427,11 +440,9 @@ def cardinality_formula(n: int, cls: EndoClass) -> int:
         return (n - 1) ** (n - 1) + 2 * n - 1
     if cls is EndoClass.WEAK_END:
         return n ** (n - 1) + (n - 1) * 2 ** (n - 1)
-    if cls is EndoClass.AUT:
-        if n < 3:
-            raise ValueError("automorphism formula needs n >= 3")
-        return math.factorial(n - 1)
-    raise ValueError(f"unknown class {cls!r}")
+    if n < 3:  # automorphisms
+        raise ValueError("automorphism formula needs n >= 3")
+    return math.factorial(n - 1)
 
 
 def is_regular_element(f: Transformation, monoid: TransformationMonoid) -> bool:

@@ -1,7 +1,11 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -402,3 +406,56 @@ def test_json_timings_keyed_by_subcommand(capsys, argv):
     assert list(doc) == ["command", "version", "parameters", "results", "timings_ms"]
     assert doc["command"] == "starendo " + " ".join(argv + ["--json"])
     assert list(doc["timings_ms"]) == [argv[0]]
+
+
+# One command of each kind: a usage error, --version, a JSON report, the census
+# CSV, a proved lower bound and a generation check.
+SEQUENCE = [
+    ["verify", "--n", "4", "--class", "aut"],
+    ["--version"],
+    ["verify", "--n", "3", "--class", "wend", "--json"],
+    ["census", "--range", "3..4"],
+    ["rank", "--n", "4", "--class", "end", "--max-k", "2"],
+    ["check-generators", "--n", "4", "--class", "swend"],
+]
+
+
+def comparable(out):
+    """Stdout with the JSON report's timings dropped."""
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        return out
+    doc.pop("timings_ms")
+    return doc
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    codes = [main(argv) for argv in SEQUENCE + SEQUENCE]
+    capsys.readouterr()
+    assert codes == [2, 0, 0, 0, 0, 0] * 2
+    assert len(used) == 2 * len(SEQUENCE)
+    assert all(parser is used[0] for parser in used)
+
+
+def test_in_process_sequence_matches_separate_processes(capsys):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    alone = []
+    for argv in SEQUENCE:
+        proc = subprocess.run([sys.executable, "-m", "starendo.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        alone.append((proc.returncode, comparable(proc.stdout.decode())))
+    assert [code for code, _ in alone] == [2, 0, 0, 0, 0, 0]
+    for order in (SEQUENCE, SEQUENCE[::-1]):
+        for argv in order:
+            code, out, _ = run(capsys, *argv)
+            assert (code, comparable(out)) == alone[SEQUENCE.index(argv)], argv

@@ -326,10 +326,11 @@ class TestEnumerateQuotient:
             assert size >= base
 
     def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_quotient(sym_presentation(3), 0)
+        for bound in (0, True, False, 2.5, "6"):
+            with pytest.raises(ValueError, match="bound"):
+                enumerate_quotient(sym_presentation(3), bound)
 
-    @pytest.mark.parametrize("max_classes", [0, -3])
+    @pytest.mark.parametrize("max_classes", [0, -3, True, 2.5])
     def test_class_budget_below_one_rejected(self, max_classes):
         with pytest.raises(ValueError, match="max_classes"):
             enumerate_quotient(sym_presentation(3), 10, max_classes=max_classes)

@@ -423,6 +423,33 @@ class TestStandardGenerators:
             standard_generators(4, AUT)
 
 
+API_FUNCTIONS = [enumerate_class, count_class, standard_generators, cardinality_formula]
+
+
+class TestApiEdge:
+    """The public functions take a class by value and reject bad degrees."""
+
+    @pytest.mark.parametrize("fn", API_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_class_by_value(self, fn):
+        for cls in (END, SWEND, WEND):
+            by_value, by_member = fn(4, cls.value), fn(4, cls)
+            if fn is enumerate_class:
+                by_value, by_member = by_value._encoded, by_member._encoded
+            assert by_value == by_member, cls
+
+    @pytest.mark.parametrize("fn", API_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_unknown_class(self, fn):
+        for cls in ("nope", "END", None):
+            with pytest.raises(ValueError, match="not a valid EndoClass"):
+                fn(4, cls)
+
+    @pytest.mark.parametrize("fn", API_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_bad_degree(self, fn):
+        for n in (True, False, 3.0, "3", None, 0, -2):
+            with pytest.raises(ValueError, match="invalid degree"):
+                fn(n, END)
+
+
 class TestRegularity:
     def test_hub_swap_is_regular(self):
         m = enumerate_class(4, END)
