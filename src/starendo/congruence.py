@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence, Union
 
+from .errors import _require_count
 from .presentations import Presentation, Relation, Word
 
 IntWord = tuple[int, ...]
@@ -320,11 +321,6 @@ def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
         peak_live=max(peak, live),
         coincidences=len(parent) - live,
     )
-
-
-def _require_count(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an int of at least 1, got {value!r}")
 
 
 def enumerate_quotient(

@@ -47,7 +47,7 @@ import operator
 import struct
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _require_count
 from .monoid import TransformationMonoid
 from .transform import Transformation, _compose_images
 
@@ -72,8 +72,7 @@ class SimpleGraph:
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        if vertex_count < 1:
-            raise ValueError(f"invalid vertex count {vertex_count}")
+        _require_count("vertex count", vertex_count)
         norm = set()
         for u, v in edges:
             if u == v:
@@ -101,8 +100,7 @@ class SimpleGraph:
 
 def star_graph(n: int) -> SimpleGraph:
     """The star with n vertices: hub 0 joined to each of 1, ..., n-1."""
-    if n < 1:
-        raise ValueError(f"invalid vertex count {n}")
+    _require_count("vertex count", n)
     return SimpleGraph(n, [(0, i) for i in range(1, n)])
 
 
@@ -334,20 +332,12 @@ def _orbit_census(n: int) -> dict[EndoClass, int]:
     return dict(zip(_CLASS_ORDER, counts))
 
 
-def _degree(n: int) -> int:
-    """``n`` itself when it is a degree: an ``int`` (not a ``bool``) of at
-    least 1; raises ValueError otherwise."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"invalid degree {n!r}")
-    return n
-
-
 def count_class(n: int, cls: EndoClass | str) -> int:
     """The number of maps of degree n in the given class, counted one leaf
     orbit at a time (no degree limit; all five classes are counted in one
     pass per degree and kept).  Raises ValueError for a bad degree or class.
     """
-    return _orbit_census(_degree(n))[EndoClass(cls)]
+    return _orbit_census(_require_count("degree", n))[EndoClass(cls)]
 
 
 def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:
@@ -369,8 +359,7 @@ def standard_generators(n: int, cls: EndoClass | str) -> list[tuple[str, Transfo
     returned (a0 = b0 and e0 = z*z there).
     """
     cls = EndoClass(cls)
-    if _degree(n) < 3:
-        raise ValueError(f"standard generators need n >= 3, got {n}")
+    _require_count("degree", n, 3)
     if cls not in (EndoClass.END, EndoClass.STRONG_WEAK_END, EndoClass.WEAK_END):
         raise ValueError(f"no standard generating set for class {cls.name}")
     gens = _standard_generator_images(n)
@@ -417,7 +406,7 @@ def enumerate_class(n: int, cls: EndoClass | str) -> TransformationMonoid:
     Witness words and the Cayley table are built on first use.
     """
     cls = EndoClass(cls)
-    if _degree(n) > MAX_SCAN_DEGREE:
+    if _require_count("degree", n) > MAX_SCAN_DEGREE:
         raise BudgetExceededError(f"degree {n} exceeds the scan limit {MAX_SCAN_DEGREE}")
     return TransformationMonoid.from_elements(_class_census(n)[cls], _class_generators(n, cls))
 
@@ -431,7 +420,7 @@ def cardinality_formula(n: int, cls: EndoClass | str) -> int:
     shares its formula.
     """
     cls = EndoClass(cls)
-    _degree(n)
+    _require_count("degree", n)
     if cls in (EndoClass.END, EndoClass.STRONG_END):
         return (n - 1) ** (n - 1) + n - 1
     if cls is EndoClass.STRONG_WEAK_END:
@@ -461,8 +450,7 @@ def is_regular_monoid(monoid: TransformationMonoid) -> bool:
 
     In a finite monoid J = D, and a D-class either holds an idempotent and
     consists of regular elements or holds no regular element at all.
-    The idempotents are tested on the monoid's stored images.  Raises
-    ValueError when the generators do not generate the elements.
+    The idempotents are tested on the monoid's stored images.
     """
     return all(
         any(map(monoid._is_idempotent, members)) for members in monoid._j_classes().classes

@@ -8,6 +8,11 @@ pair.  ``Transformation`` objects exist only at the API edge: ``elements``
 and iteration build them once, on first use, and ``in``, ``index_of`` and
 the functions that take maps encode the maps they are given.
 
+A monoid is always the monoid its generators generate: the constructor
+proves it by one closure before it returns, and :meth:`generate` builds
+the element set as that closure.  Nothing after construction checks the
+generators again.
+
 The closure enumeration is breadth-first from the identity: elements are
 discovered in shortlex order of their witness words (shorter words first,
 generator-list order breaking ties), which makes element order, witness
@@ -27,7 +32,7 @@ import time
 from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _require_count
 from .transform import Transformation, _compose_images, _trusted
 
 Word = tuple[str, ...]
@@ -175,44 +180,65 @@ def _strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 class TransformationMonoid:
-    """An enumerated monoid of transformations with generator metadata.
+    """The monoid of transformations generated by the given generators.
 
     Fields: ``elements`` (canonically ordered; stored encoded, built as
     ``Transformation`` objects on first access), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
     index of the product.  The words and the table are computed from the
-    generators on first access and then kept; the generators must then
-    generate exactly the elements.  The constructor takes ``Transformation``
-    objects, or, with ``encoded``, values already encoded as :meth:`generate`
-    and :meth:`from_elements` pass them.
+    generators on first access and then kept.
+
+    The constructor takes the elements as ``Transformation`` objects, image
+    sequences or encoded values (the scan's ``bytes`` rows are kept as they
+    are) and encodes each once.  Input already strictly increasing is kept
+    in its order; any other is deduplicated and sorted.  It then proves
+    that the generators generate exactly that set, by one closure that
+    collects elements only and stops past the set's size, and raises
+    ValueError otherwise; that also rejects a generator or an element of
+    another degree and any image sequence that is not a map.  An empty
+    generator list generates only the trivial monoid.
     """
 
     def __init__(
         self,
         degree: int,
-        elements: Iterable[Transformation],
+        elements: Iterable[Transformation | Sequence[int]],
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
-        *,
-        encoded: bool = False,
     ):
+        encoded = tuple(map(_encoder(degree), elements))
+        if not all(map(operator.lt, encoded, islice(encoded, 1, None))):
+            encoded = tuple(sorted(dict.fromkeys(encoded)))
+        self._store(degree, encoded, generator_names, generators)
+        found = _closure(degree, [t.images for t in self.generators], len(encoded))
+        # a closure past the set's size cannot be the set; the closure's
+        # elements are distinct, so equal sizes and inclusion make the two
+        # sets equal
+        if found is None or len(found[0]) != len(encoded) or not all(
+            map(self._index.__contains__, found[0])
+        ):
+            raise ValueError("generators do not generate the given element set")
+
+    def _store(
+        self,
+        degree: int,
+        encoded: tuple,
+        generator_names: Sequence[str],
+        generators: Sequence[Transformation],
+    ) -> None:
+        """Set every field from distinct encoded elements in their final order."""
         self.degree = degree
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
         self._encode = _encoder(degree)
         self._operand, self._product = _multiplication(degree)
-        self._encoded = tuple(elements) if encoded else tuple(map(self._encode, elements))
-        self._index = dict(zip(self._encoded, range(len(self._encoded))))
-        if len(self._index) != len(self._encoded):
-            raise ValueError("duplicate elements")
+        self._encoded = encoded
+        self._index = dict(zip(encoded, range(len(encoded))))
         self._elements: Optional[tuple[Transformation, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
         self._jclasses: Optional[_JClasses] = None
-        # image set of a generating set proved to generate exactly the elements
-        # (by ``generate`` and ``from_elements``); None when nothing is proved
-        self._proven_generators: Optional[frozenset[tuple[int, ...]]] = None
 
     @property
     def elements(self) -> tuple[Transformation, ...]:
@@ -245,11 +271,8 @@ class TransformationMonoid:
             found = _closure(
                 self.degree, [t.images for t in self.generators], n, structure=True
             )
-        # discovery index -> element index
-        perm = None if found is None else list(map(self._index.get, found[0]))
-        if perm is None or len(perm) != n or None in perm:
-            raise ValueError("generators do not generate the element set")
-        _, words, cayley = found
+        elements, words, cayley = found
+        perm = list(map(self._index.__getitem__, elements))  # discovery -> element index
         words_out: list[Word] = [()] * n
         cayley_out: list[tuple[int, ...]] = [()] * n
         names = self.generator_names
@@ -260,12 +283,9 @@ class TransformationMonoid:
 
     def _j_classes(self) -> _JClasses:
         """The J-classes, computed on first use from the right Cayley table
-        and a left table, then kept.
-
-        Raises ValueError when the generators do not generate the elements.
-        """
+        and a left table, then kept."""
         if self._jclasses is None:
-            right = self.right_cayley  # first: its closure checks the generators
+            right = self.right_cayley
             columns = self._left_columns(right)  # x -> g * x
             successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
             components = _strong_components(successors)[::-1]  # top down
@@ -290,12 +310,9 @@ class TransformationMonoid:
 
         Froidure-Pin's recurrence over a breadth-first tree of the right
         table, with index lookups only: g * identity = g, and g * x =
-        (g * p) * h where x = p * h is x's tree edge.  Raises ValueError when
-        a generator is not an element.
+        (g * p) * h where x = p * h is x's tree edge.
         """
-        gens = [self._index.get(self._encode(g.images)) for g in self.generators]
-        if None in gens:
-            raise ValueError("elements are not closed under the generators")
+        gens = [self._index[self._encode(g.images)] for g in self.generators]
         root = self._index[self._encode(range(self.degree))]
         tree = []  # (x, p, h) with x = p * h, each p before its children
         seen = bytearray(len(right))
@@ -358,8 +375,12 @@ class TransformationMonoid:
 
         Elements appear in discovery (shortlex witness) order; the identity
         is element 0 with the empty witness word even when it is not among
-        the generators.
+        the generators.  The closure that lists the elements is the proof
+        that the generators generate them; it is not run again.  Raises
+        BudgetExceededError past ``max_elements`` elements, and ValueError
+        when that budget is not an ``int`` of at least 1.
         """
+        _require_count("max_elements", max_elements)
         if not named_generators:
             raise ValueError("need at least one generator")
         names = [nm for nm, _ in named_generators]
@@ -368,9 +389,9 @@ class TransformationMonoid:
         found = _closure(degree, [t.images for t in gens], max_elements, structure=True)
         if found is None:
             raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
-        monoid = cls(degree, found[0], names, gens, encoded=True)
+        monoid = cls.__new__(cls)
+        monoid._store(degree, tuple(found[0]), names, gens)
         monoid._build_structure(found)
-        monoid._proven_generators = frozenset(t.images for t in gens)
         return monoid
 
     @classmethod
@@ -379,19 +400,11 @@ class TransformationMonoid:
         elements: Iterable[Transformation | Sequence[int]],
         named_generators: Sequence[tuple[str, Transformation]],
     ) -> "TransformationMonoid":
-        """Package a known element set in lexicographic order.
+        """The constructor on a known element set, its degree read off the
+        first element and the generators given as (name, map) pairs.
 
-        The elements are ``Transformation`` objects or image sequences, each
-        encoded once; the scan's rows, ``bytes`` already, are kept as they
-        are.  Duplicates are dropped and the rest sorted, unless the encoded
-        input is already strictly increasing, as the scan's rows are.  The
-        named generators must generate exactly the given set; this is
-        checked here, by a closure that collects elements only and stops
-        past the set's size, and recorded for :func:`is_generating_set`.
-        The check also rejects a set of mixed degrees and any image sequence
-        that is not a map; a set of degree 0 raises ValueError before it.
-        Witness words and the Cayley table are built on first access.  An
-        empty generator list generates only the trivial monoid.
+        Raises ValueError for an empty set or one of degree 0, before the
+        constructor's checks.
         """
         elements = tuple(elements)
         if not elements:
@@ -399,22 +412,8 @@ class TransformationMonoid:
         degree = len(tuple(elements[0]))
         if degree < 1:
             raise ValueError("a transformation needs degree at least 1")
-        names = [nm for nm, _ in named_generators]
-        gens = [t for _, t in named_generators]
-        encoded = tuple(map(_encoder(degree), elements))
-        if not all(map(operator.lt, encoded, islice(encoded, 1, None))):
-            encoded = sorted(dict.fromkeys(encoded))
-        monoid = cls(degree, encoded, names, gens, encoded=True)
-        found = _closure(degree, [t.images for t in gens], len(monoid))
-        # a closure past the set's size cannot be the set; the closure's
-        # elements are distinct, so equal sizes and inclusion make the two
-        # sets equal
-        if found is None or len(found[0]) != len(monoid) or not all(
-            map(monoid._index.__contains__, found[0])
-        ):
-            raise ValueError("generators do not generate the given element set")
-        monoid._proven_generators = frozenset(t.images for t in gens)
-        return monoid
+        return cls(degree, elements, [nm for nm, _ in named_generators],
+                   [t for _, t in named_generators])
 
 
 def generate(
@@ -431,16 +430,15 @@ def is_generating_set(
 ) -> bool:
     """True iff the closure of the given maps equals the target's element set.
 
-    Answers at once, without a closure, when the maps' image set is the one
-    that built the target by :meth:`TransformationMonoid.generate` or
-    :meth:`TransformationMonoid.from_elements`: those proved it generates.
+    Answers at once, without a closure, when the maps' image set is that of
+    the target's own generators, which generate it by construction.
     """
     gens = list(transformations)
     if not gens:
         return len(target) == 1
     if any(t.degree != target.degree for t in gens):
         raise ValueError("degree mismatch with target monoid")
-    if {t.images for t in gens} == target._proven_generators:
+    if {t.images for t in gens} == {t.images for t in target.generators}:
         return True
     if any(t not in target for t in gens):
         return False
@@ -501,10 +499,11 @@ def rank_exact(
     The pool defaults to all of the target; the identity is never needed.
     Returns None only when it is proved that no subset of the pool of size
     <= max_subset_size generates the target.  Raises BudgetExceededError
-    when ``time_budget_s`` runs out first, and ValueError when the budget is
-    NaN or negative, the pool is not inside the target or the target's
-    generators do not generate it.
+    when ``time_budget_s`` runs out first, and ValueError when
+    ``max_subset_size`` is not an ``int`` of at least 0, the time budget is
+    NaN or negative, or the pool is not inside the target.
     """
+    _require_count("max_subset_size", max_subset_size, 0)
     if not time_budget_s >= 0:  # NaN fails every comparison, so no deadline would hold
         raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s}")
     deadline = time.monotonic() + time_budget_s
@@ -517,8 +516,6 @@ def rank_exact(
             raise ValueError("candidate pool must be a subset of the target monoid")
     ident = target._encode(range(target.degree))
     pool.discard(target._index[ident])
-    if max_subset_size < 0:
-        return None
 
     store = target._encoded
     chosen: list[int] = []
@@ -540,10 +537,7 @@ def rank_exact(
         if picked is None:
             return None
         chosen += picked
-        found = _closure(target.degree, [store[g] for g in chosen], len(target))
-        if found is None:
-            raise ValueError("elements are not closed under multiplication")
-        generated = set(found[0])
+        generated = set(_closure(target.degree, [store[g] for g in chosen], len(target))[0])
     return len(chosen)
 
 

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import _require_count
+
 Word = tuple[str, ...]
 Relation = tuple[Word, Word]
 
@@ -79,8 +81,7 @@ def _moore_relations(a: Word, b: Word, n: int) -> list[Relation]:
 
 def sym_presentation(n: int) -> Presentation:
     """Presentation of the symmetric group on n points, letters a, b (n >= 3)."""
-    if n < 3:
-        raise ValueError(f"symmetric group presentation needs n >= 3, got {n}")
+    _require_count("degree", n, 3)
     return Presentation(("a", "b"), _moore_relations(("a",), ("b",), n))
 
 
@@ -116,8 +117,7 @@ def _idempotent_relations(a: Word, b: Word, e: Word, n: int) -> list[Relation]:
 
 def full_transf_presentation(n: int) -> Presentation:
     """Presentation of the full transformation monoid on n points, letters a, b, e."""
-    if n < 3:
-        raise ValueError(f"full transformation presentation needs n >= 3, got {n}")
+    _require_count("degree", n, 3)
     a, b, e = ("a",), ("b",), ("e",)
     rels = _moore_relations(a, b, n) + _idempotent_relations(a, b, e, n)
     return Presentation(("a", "b", "e"), rels)
@@ -125,8 +125,7 @@ def full_transf_presentation(n: int) -> Presentation:
 
 def partial_transf_presentation(n: int) -> Presentation:
     """Presentation of the partial transformation monoid on n points, letters a, b, c, e."""
-    if n < 3:
-        raise ValueError(f"partial transformation presentation needs n >= 3, got {n}")
+    _require_count("degree", n, 3)
     a, b, c, e = ("a",), ("b",), ("c",), ("e",)
     rels = _moore_relations(a, b, n)
     rels += _chain(
@@ -166,8 +165,7 @@ def end_star_presentation(n: int) -> Presentation:
     For n >= 4 this is the full transformation presentation on n-1 points,
     relabeled to (a0, b0, e0), extended by the hub-collapse relations for z.
     """
-    if n < 3:
-        raise ValueError(f"star presentations need n >= 3, got {n}")
+    _require_count("degree", n, 3)
     if n == 3:
         return Presentation(("a0", "z"), _star3_relations())
     base = full_transf_presentation(n - 1).relabel({"a": "a0", "b": "b0", "e": "e0"})
@@ -176,8 +174,7 @@ def end_star_presentation(n: int) -> Presentation:
 
 def swend_star_presentation(n: int) -> Presentation:
     """Presentation of the strong weak endomorphism monoid of the star with n vertices."""
-    if n < 3:
-        raise ValueError(f"star presentations need n >= 3, got {n}")
+    _require_count("degree", n, 3)
     a0, z, z0 = ("a0",), ("z",), ("z0",)
     if n == 3:
         rels = _star3_relations()
@@ -198,8 +195,7 @@ def wend_star_presentation(n: int) -> Presentation:
     For n >= 4 this is the partial transformation presentation on n-1
     points, relabeled to (a0, b0, c0, e0), extended by the z relations.
     """
-    if n < 3:
-        raise ValueError(f"star presentations need n >= 3, got {n}")
+    _require_count("degree", n, 3)
     a0, c0, z = ("a0",), ("c0",), ("z",)
     if n == 3:
         rels = _star3_relations() + [(c0 * 2, c0)]

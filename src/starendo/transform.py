@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
+from .errors import _require_count
+
 
 def _compose_images(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     # left-to-right on raw image tuples: h[i] = g[f[i]]
@@ -108,9 +110,7 @@ def _trusted(images: tuple[int, ...]) -> Transformation:
 
 def identity(n: int) -> Transformation:
     """The map fixing every vertex of {0, ..., n-1}."""
-    if n < 1:
-        raise ValueError(f"invalid degree {n}; need n >= 1")
-    return Transformation(range(n))
+    return Transformation(range(_require_count("degree", n)))
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:

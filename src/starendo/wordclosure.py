@@ -30,7 +30,8 @@ satisfying every relation at every state, so it returns its state count.
 Merges only ever join words provably congruent, and a table passing this
 certificate has exactly one state per element of the presented monoid, so
 the answer is exact.  Registering more than ``max_words`` words or scanning
-more than ``max_rounds`` times returns None, never a guess.
+more than ``max_rounds`` times returns None, never a guess; either budget
+must be an ``int`` of at least 1, or the run raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import _require_count
 from .presentations import Presentation
 
 
@@ -77,9 +79,9 @@ def word_closure(
     max_rounds: int = 10_000,
 ) -> tuple[Optional[int], WordClosureStats]:
     """Size of the presented monoid (None on budget exhaustion) and run counters."""
-    closure = _WordClosure(pres, max_words)
+    closure = _WordClosure(pres, _require_count("max_words", max_words))
     try:
-        size = closure.run(max_rounds)
+        size = closure.run(_require_count("max_rounds", max_rounds))
     except _OverBudget:
         size = None
     stats = WordClosureStats(len(closure.parent), closure.merges, closure.rounds)

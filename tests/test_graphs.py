@@ -11,14 +11,20 @@ from starendo import (
     cardinality_formula,
     classify,
     count_class,
+    end_star_presentation,
     enumerate_class,
     format_monoid,
+    full_transf_presentation,
     generate,
     identity,
     is_regular_element,
     is_regular_monoid,
+    partial_transf_presentation,
     standard_generators,
     star_graph,
+    swend_star_presentation,
+    sym_presentation,
+    wend_star_presentation,
 )
 from starendo.graphs import (
     _CLASS_ORDER,
@@ -426,6 +432,24 @@ class TestStandardGenerators:
 API_FUNCTIONS = [enumerate_class, count_class, standard_generators, cardinality_formula]
 
 
+def _edgeless_graph(n):
+    return SimpleGraph(n, [])
+
+
+# every other builder that takes a degree or a vertex count, with the least it accepts
+DEGREE_BUILDERS = [
+    (sym_presentation, 3),
+    (full_transf_presentation, 3),
+    (partial_transf_presentation, 3),
+    (end_star_presentation, 3),
+    (swend_star_presentation, 3),
+    (wend_star_presentation, 3),
+    (star_graph, 1),
+    (_edgeless_graph, 1),
+    (identity, 1),
+]
+
+
 class TestApiEdge:
     """The public functions take a class by value and reject bad degrees."""
 
@@ -448,6 +472,14 @@ class TestApiEdge:
         for n in (True, False, 3.0, "3", None, 0, -2):
             with pytest.raises(ValueError, match="invalid degree"):
                 fn(n, END)
+
+    @pytest.mark.parametrize("build,least", DEGREE_BUILDERS,
+                             ids=[build.__name__ for build, _ in DEGREE_BUILDERS])
+    def test_builders_take_only_int_degrees(self, build, least):
+        for n in (True, False, float(least), least + 0.5, str(least), None, least - 1):
+            with pytest.raises(ValueError, match="invalid (degree|vertex count)"):
+                build(n)
+        build(least)
 
 
 class TestRegularity:

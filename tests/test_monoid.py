@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,10 @@ class TestGenerate:
     def test_element_budget(self):
         with pytest.raises(BudgetExceededError):
             generate(standard_generators(4, EndoClass.END), max_elements=10)
+        # a budget that is not an int of at least 1 is malformed, not exceeded
+        for budget in (0, -1, True, 2.5):
+            with pytest.raises(ValueError, match="max_elements"):
+                generate(standard_generators(4, EndoClass.END), max_elements=budget)
 
 
 class TestFromElements:
@@ -220,11 +225,42 @@ class TestFromElements:
                 TransformationMonoid.from_elements(elems, [("g", Transformation(gen))])
 
     def test_structure_rejects_generators_of_another_degree(self):
-        # a monoid built directly is checked when its structure is first built
+        # a monoid built directly is checked when it is built
         elems = [identity(3), Transformation((1, 0, 2))]
-        direct = TransformationMonoid(3, elems, ["s"], [Transformation((1, 0))])
         with pytest.raises(ValueError, match="degree"):
-            direct.witness_words
+            TransformationMonoid(3, elems, ["s"], [Transformation((1, 0))])
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+                    Transformation
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+        st.data(),
+    )
+    def test_constructor_accepts_exactly_the_closure(self, gens, data):
+        n = gens[0].degree
+        names = [f"g{i}" for i in range(len(gens))]
+        closure = pairwise_closure(gens)
+        m = TransformationMonoid(n, closure, names, gens)
+        assert set(m.elements) == closure
+        inside = sorted(closure - {identity(n)})
+        outside = [t for t in map(Transformation, product(range(n), repeat=n))
+                   if t not in closure]
+        wrong = []
+        if inside:
+            wrong.append(closure - {data.draw(st.sampled_from(inside))})
+        if outside:
+            wrong.append(closure | {data.draw(st.sampled_from(outside))})
+        if inside and outside:  # the same size as the closure
+            wrong.append(wrong[0] | wrong[1] - closure)
+        for elements in wrong:
+            with pytest.raises(ValueError, match="do not generate"):
+                TransformationMonoid(n, elements, names, gens)
 
 
 class TestLeftTable:
@@ -247,9 +283,8 @@ class TestLeftTable:
 
     def test_generator_outside_the_elements_rejected(self):
         m = generate([("a", Transformation((1, 2, 0)))])
-        outsider = TransformationMonoid(3, m.elements, ["z"], [Transformation((0, 0, 0))])
-        with pytest.raises(ValueError, match="not closed"):
-            outsider._left_columns(m.right_cayley)
+        with pytest.raises(ValueError, match="do not generate"):
+            TransformationMonoid(3, m.elements, ["z"], [Transformation((0, 0, 0))])
 
 
 def _rotation(n, m):
@@ -387,8 +422,8 @@ class TestGeneratingSets:
 
 
 class TestProvenGenerators:
-    """``is_generating_set`` skips the closure only for the image set that
-    ``generate`` or ``from_elements`` proved generates the monoid."""
+    """``is_generating_set`` skips the closure only for the image set of the
+    monoid's own generators, which generate it by construction."""
 
     @pytest.fixture
     def closures(self, monkeypatch):
@@ -424,20 +459,19 @@ class TestProvenGenerators:
         assert is_generating_set(target, gens + [extra])
         assert len(closures) == 1
 
-    def test_monoid_built_directly_runs_the_closure(self, closures):
+    def test_monoid_built_directly_answers_at_once(self, closures):
         built = enumerate_class(4, EndoClass.END)
         named = standard_generators(4, EndoClass.END)
         direct = TransformationMonoid(
             4, built.elements, [nm for nm, _ in named], [t for _, t in named]
         )
         assert is_generating_set(direct, direct.generators)
-        assert len(closures) == 1
-        # generators declared but never proved: the closure gives the answer
-        short = TransformationMonoid(
-            4, built.elements, [nm for nm, _ in named[:3]], [t for _, t in named[:3]]
-        )
-        assert not is_generating_set(short, short.generators)
-        assert len(closures) == 2
+        assert closures == []
+        # generators that do not generate the set are refused when it is built
+        with pytest.raises(ValueError, match="do not generate"):
+            TransformationMonoid(
+                4, built.elements, [nm for nm, _ in named[:3]], [t for _, t in named[:3]]
+            )
 
 
 class TestRank:

@@ -18,6 +18,7 @@ from starendo import (
     TransformationMonoid,
     enumerate_class,
     generate,
+    identity,
     is_regular_monoid,
     rank_exact,
     standard_generators,
@@ -79,7 +80,11 @@ def test_matches_reference_at_and_below_rank(n, cls):
     rank = rank_exact(target, 6)
     assert rank is not None
     assert rank_exact(target, rank) == reference_rank(target, rank) == rank
-    assert rank_exact(target, rank - 1) is reference_rank(target, rank - 1) is None
+    if rank == 0:  # the trivial monoid: no budget lies below it
+        with pytest.raises(ValueError, match="max_subset_size"):
+            rank_exact(target, rank - 1)
+    else:
+        assert rank_exact(target, rank - 1) is reference_rank(target, rank - 1) is None
 
 
 @given(
@@ -144,3 +149,10 @@ def test_time_budget_must_be_a_number_at_least_zero():
         with pytest.raises(ValueError, match="time budget"):
             rank_exact(end3, 2, time_budget_s=budget)
     assert rank_exact(end3, 2, time_budget_s=float("inf")) == 2
+    # the subset budget is an int of at least 0: None would read as a
+    # proved lower bound
+    for max_k in (-1, True, False, 2.5, "2"):
+        with pytest.raises(ValueError, match="max_subset_size"):
+            rank_exact(end3, max_k)
+    assert rank_exact(end3, 0) is None
+    assert rank_exact(TransformationMonoid.from_elements([identity(3)], []), 0) == 0

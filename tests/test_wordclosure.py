@@ -358,8 +358,16 @@ class TestBudget:
         assert word_closure(pres, max_words=stats.words_registered - 1)[0] is None
 
     def test_zero_budget(self):
-        assert word_closure(sym_presentation(3), max_words=0) == (
-            None, WordClosureStats(0, 0, 0))
+        # a budget below one word or one round is malformed, not exhausted
+        for budget in ({"max_words": 0}, {"max_words": True}, {"max_words": 2.5},
+                       {"max_rounds": 0}, {"max_rounds": -1}, {"max_rounds": True}):
+            name = next(iter(budget))
+            with pytest.raises(ValueError, match=name):
+                word_closure(sym_presentation(3), **budget)
+            with pytest.raises(ValueError, match=name):
+                word_closure_size(sym_presentation(3), **budget)
+        assert word_closure(sym_presentation(3), max_words=1) == (
+            None, WordClosureStats(1, 0, 0))
 
     def test_round_budget(self):
         pres = wend_star_presentation(4)
