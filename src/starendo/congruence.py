@@ -94,25 +94,32 @@ class CongruenceTable:
         """
         if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start < self.size:
             raise ValueError(f"start {start!r} is not a class index in 0..{self.size - 1}")
-        pos = {x: i for i, x in enumerate(self.alphabet)}
         q = start
-        for letter in word:
-            i = pos.get(letter)
-            if i is None:
-                raise ValueError(f"letter {letter!r} is not in the alphabet {self.alphabet}")
+        for i in self._letters(word):
             q = self.right_mult[q][i]
         return q
 
+    def _letters(self, word: Sequence[str]) -> IntWord:
+        """The word as alphabet positions; raises ValueError for any other letter."""
+        pos = {x: i for i, x in enumerate(self.alphabet)}
+        for x in word:
+            if x not in pos:
+                raise ValueError(f"letter {x!r} is not in the alphabet {self.alphabet}")
+        return tuple(map(pos.__getitem__, word))
+
     def check(self, relations: Sequence[Relation]) -> None:
-        """Raise if any relation fails to hold at any class.
+        """Raise AssertionError if any relation fails to hold at any class.
 
         Runs the enumerator's trace programs (``_compile_traces``) through
-        the finished table.
+        the finished table.  Raises ValueError when a relation is not a pair
+        of words over the alphabet.
         """
-        pos = {x: i for i, x in enumerate(self.alphabet)}
-        n_slots, programs = _compile_traces(
-            [(tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in relations]
-        )
+        pairs = []
+        for relation in relations:
+            if not isinstance(relation, (tuple, list)) or len(relation) != 2:
+                raise ValueError(f"relation {relation!r} is not a pair of words")
+            pairs.append(tuple(map(self._letters, relation)))
+        n_slots, programs = _compile_traces(pairs)
         rows = self.right_mult
         slots = [0] * n_slots
         for q in range(self.size):

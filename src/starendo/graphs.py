@@ -403,7 +403,7 @@ def enumerate_class(n: int, cls: EndoClass | str) -> TransformationMonoid:
 
     A scan of the star's candidates with the literal predicates as final
     filter; raises BudgetExceededError for degrees above ``MAX_SCAN_DEGREE``.
-    Witness words and the Cayley table are built on first use.
+    Witness words and the Cayley table come from the generation proof's walk.
     """
     cls = EndoClass(cls)
     if _require_count("degree", n) > MAX_SCAN_DEGREE:

@@ -8,15 +8,13 @@ pair.  ``Transformation`` objects exist only at the API edge: ``elements``
 and iteration build them once, on first use, and ``in``, ``index_of`` and
 the functions that take maps encode the maps they are given.
 
-A monoid is always the monoid its generators generate: the constructor
-proves it by one closure before it returns, and :meth:`generate` builds
-the element set as that closure.  Nothing after construction checks the
-generators again.
-
-The closure enumeration is breadth-first from the identity: elements are
-discovered in shortlex order of their witness words (shorter words first,
-generator-list order breaking ties), which makes element order, witness
-words and the right Cayley table fully deterministic.
+A monoid is always the monoid its generators generate.  Everything the
+package derives from them comes from one breadth-first walk of the
+generators from the identity (Froidure-Pin style), run by the constructor
+or by :meth:`generate`: it proves generation, and its tree and table give
+the witness words, both Cayley tables and the J-classes.  It discovers the
+elements in shortlex order of their witness words (shorter words first,
+generator-list order breaking ties).  The generators are walked once.
 
 Regularity and rank are decided per J-class.  Two elements are
 J-related when each is a two-sided multiple of the other; the J-classes are
@@ -29,6 +27,7 @@ from __future__ import annotations
 
 import operator
 import time
+from array import array
 from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -67,21 +66,16 @@ def _multiplication(degree: int) -> tuple[Callable, Callable]:
 
 
 def _closure(
-    degree: int,
-    gen_images: Sequence[tuple[int, ...]],
-    cap: int,
-    *,
-    structure: bool = False,
-) -> Optional[tuple[list, Optional[list], Optional[list]]]:
+    degree: int, gen_images: Sequence[tuple[int, ...]], cap: int
+) -> Optional[tuple[list, array]]:
     """Breadth-first closure of the given maps, or None past ``cap`` elements.
 
     The generators are image sequences; the elements are encoded and
-    multiplied by the degree's :func:`_multiplication` pair.  Returns
-    (encoded elements in discovery order, witness words, right Cayley rows).
-    Element 0 is the identity.  With ``structure`` the witness words (tuples
-    of generator indices, the empty word for the identity) and the Cayley
-    rows are recorded on the way; without it they are None.  Raises
-    ValueError when a generator's degree is not ``degree``.
+    multiplied by the degree's :func:`_multiplication` pair.  Returns the
+    encoded elements in discovery order, element 0 the identity, and the
+    walk's right table: with r generators, entry ``i*r + j`` is the
+    discovery index of element i times generator j.  Raises ValueError when
+    a generator's degree is not ``degree``.
     """
     for g in gen_images:
         if len(g) != degree:
@@ -91,10 +85,9 @@ def _closure(
     ident = _encoder(degree)(range(degree))
     elements = [ident]
     index = {ident: 0}
-    words: Optional[list[tuple[int, ...]]] = [()] if structure else None
-    flat: Optional[list[int]] = [] if structure else None
-    for i, f in enumerate(elements):  # grows while it is walked: breadth-first
-        for j, g in enumerate(operands):
+    walk = array("i")
+    for f in elements:  # grows while it is walked: breadth-first
+        for g in operands:
             h = product(f, g)
             k = index.get(h)
             if k is None:
@@ -103,14 +96,8 @@ def _closure(
                     return None
                 index[h] = k
                 elements.append(h)
-                if words is not None:
-                    words.append(words[i] + (j,))
-            if flat is not None:
-                flat.append(k)
-    if flat is None:
-        return elements, None, None
-    r = len(operands)
-    return elements, words, [flat[i * r : (i + 1) * r] for i in range(len(elements))]
+            walk.append(k)
+    return elements, walk
 
 
 def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
@@ -186,18 +173,20 @@ class TransformationMonoid:
     ``Transformation`` objects on first access), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
-    index of the product.  The words and the table are computed from the
-    generators on first access and then kept.
+    index of the product.  The words and the table are derived on first
+    access from the walk that proved the generators, then kept; the walk is
+    released once the J-classes, its last reader, are built.
 
-    The constructor takes the elements as ``Transformation`` objects, image
-    sequences or encoded values (the scan's ``bytes`` rows are kept as they
-    are) and encodes each once.  Input already strictly increasing is kept
-    in its order; any other is deduplicated and sorted.  It then proves
-    that the generators generate exactly that set, by one closure that
-    collects elements only and stops past the set's size, and raises
-    ValueError otherwise; that also rejects a generator or an element of
-    another degree and any image sequence that is not a map.  An empty
-    generator list generates only the trivial monoid.
+    The constructor takes the degree (an ``int`` of at least 1), the
+    elements as ``Transformation`` objects, image sequences or encoded
+    values (the scan's ``bytes`` rows are kept as they are), which it
+    encodes once, and one distinct name per generator.  Input already
+    strictly increasing is kept in its order; any other is deduplicated and
+    sorted.  It then proves that the generators generate exactly that set,
+    by one closure that stops past the set's size, and raises ValueError
+    otherwise; that also rejects a generator or an element of another
+    degree and any image sequence that is not a map.  An empty generator
+    list generates only the trivial monoid.
     """
 
     def __init__(
@@ -207,18 +196,17 @@ class TransformationMonoid:
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
     ):
-        encoded = tuple(map(_encoder(degree), elements))
+        encoded = tuple(map(_encoder(_require_count("degree", degree)), elements))
         if not all(map(operator.lt, encoded, islice(encoded, 1, None))):
             encoded = tuple(sorted(dict.fromkeys(encoded)))
         self._store(degree, encoded, generator_names, generators)
         found = _closure(degree, [t.images for t in self.generators], len(encoded))
-        # a closure past the set's size cannot be the set; the closure's
-        # elements are distinct, so equal sizes and inclusion make the two
-        # sets equal
-        if found is None or len(found[0]) != len(encoded) or not all(
-            map(self._index.__contains__, found[0])
-        ):
+        # the closure's elements are distinct, so as many of them as the set
+        # has, each with an index in it, are the set
+        order = list(map(self._index.get, found[0])) if found else []
+        if len(order) != len(encoded) or None in order:
             raise ValueError("generators do not generate the given element set")
+        self._walk = (order, found[1])
 
     def _store(
         self,
@@ -227,14 +215,19 @@ class TransformationMonoid:
         generator_names: Sequence[str],
         generators: Sequence[Transformation],
     ) -> None:
-        """Set every field from distinct encoded elements in their final order."""
+        """Set every field from distinct encoded elements in their final order,
+        but ``_walk``; raises ValueError unless each generator has its own name."""
         self.degree = degree
         self.generator_names = tuple(generator_names)
         self.generators = tuple(generators)
+        if not len(set(self.generator_names)) == len(self.generator_names) == len(generators):
+            raise ValueError(f"need one distinct name per generator: {self.generator_names}")
         self._encode = _encoder(degree)
         self._operand, self._product = _multiplication(degree)
         self._encoded = encoded
         self._index = dict(zip(encoded, range(len(encoded))))
+        # (discovery index -> element index, the closure's right table)
+        self._walk: Optional[tuple[Sequence[int], array]] = None
         self._elements: Optional[tuple[Transformation, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
@@ -259,34 +252,42 @@ class TransformationMonoid:
             self._build_structure()
         return self._cayley
 
-    def _build_structure(self, found: Optional[tuple[list, list, list]] = None) -> None:
-        """Shortlex witness words and right Cayley rows, in element order.
+    def _build_structure(self) -> None:
+        """Shortlex witness words and right Cayley rows, in element order,
+        from the walk's tree and table."""
+        order, walk = self._walk
+        names, r = self.generator_names, len(self.generators)
+        words: list[Word] = [()] * len(order)
+        for x, p, h in self._tree_edges():
+            words[x] = words[p] + (names[h],)
+        cayley: list[tuple[int, ...]] = [()] * len(order)
+        for i, x in enumerate(order):
+            cayley[x] = tuple(map(order.__getitem__, walk[i * r : (i + 1) * r]))
+        self._words, self._cayley = tuple(words), tuple(cayley)
 
-        One structure-recording closure from the identity (Froidure-Pin
-        style), or the one given as ``found``, then its discovery order is
-        mapped onto the stored order.
+    def _tree_edges(self) -> Iterator[tuple[int, int, int]]:
+        """The walk's breadth-first tree as element indices (x, p, h) with
+        x = p * generator h, each parent before its children.
+
+        Discovery indices are handed out in walk order, so the first entry
+        of the walk equal to k, ``p*r + h``, is element k's tree edge.
         """
-        n = len(self._encoded)
-        if found is None:
-            found = _closure(
-                self.degree, [t.images for t in self.generators], n, structure=True
-            )
-        elements, words, cayley = found
-        perm = list(map(self._index.__getitem__, elements))  # discovery -> element index
-        words_out: list[Word] = [()] * n
-        cayley_out: list[tuple[int, ...]] = [()] * n
-        names = self.generator_names
-        for i, p in enumerate(perm):
-            words_out[p] = tuple(names[j] for j in words[i])
-            cayley_out[p] = tuple(perm[k] for k in cayley[i])
-        self._words, self._cayley = tuple(words_out), tuple(cayley_out)
+        order, walk = self._walk
+        r = len(self.generators)
+        last = 0
+        for e, k in enumerate(walk):
+            if k > last:
+                last = k
+                p, h = divmod(e, r)
+                yield order[k], order[p], h
 
     def _j_classes(self) -> _JClasses:
         """The J-classes, computed on first use from the right Cayley table
         and a left table, then kept."""
         if self._jclasses is None:
             right = self.right_cayley
-            columns = self._left_columns(right)  # x -> g * x
+            columns = self._left_columns()  # x -> g * x
+            self._walk = None
             successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
             components = _strong_components(successors)[::-1]  # top down
             class_of = [0] * len(successors)
@@ -304,28 +305,16 @@ class TransformationMonoid:
             )
         return self._jclasses
 
-    def _left_columns(self, right: Sequence[Sequence[int]]) -> list[list[int]]:
-        """The left Cayley table by columns: ``columns[j][x]`` is the index of
-        generator j times element x.
-
-        Froidure-Pin's recurrence over a breadth-first tree of the right
-        table, with index lookups only: g * identity = g, and g * x =
-        (g * p) * h where x = p * h is x's tree edge.
-        """
-        gens = [self._index[self._encode(g.images)] for g in self.generators]
-        root = self._index[self._encode(range(self.degree))]
-        tree = []  # (x, p, h) with x = p * h, each p before its children
-        seen = bytearray(len(right))
-        seen[root] = 1
-        frontier = [root]
-        for p in frontier:  # grows while it is walked: breadth-first
-            for h, x in enumerate(right[p]):
-                if not seen[x]:
-                    seen[x] = 1
-                    frontier.append(x)
-                    tree.append((x, p, h))
+    def _left_columns(self) -> list[list[int]]:
+        """The left Cayley table by columns, ``columns[j][x]`` the index of
+        generator j times element x: Froidure-Pin's recurrence over the
+        walk's tree, g * identity = g and g * x = (g * p) * h for x's tree
+        edge x = p * h, with index lookups only."""
+        right = self.right_cayley
+        tree = list(self._tree_edges())
+        root = self._walk[0][0]  # the identity, discovered first
         columns = []
-        for g in gens:
+        for g in right[root]:
             column = [0] * len(right)
             column[root] = g
             for x, p, h in tree:
@@ -354,6 +343,9 @@ class TransformationMonoid:
         return self._find(f) is not None
 
     def index_of(self, f: Transformation) -> Optional[int]:
+        """The index of ``f``, None for a map outside; ValueError for any other value."""
+        if not isinstance(f, Transformation):
+            raise ValueError(f"not a Transformation: {f!r}")
         if f.degree != self.degree:
             raise ValueError(f"degree mismatch: {f.degree} vs {self.degree}")
         return self._find(f)
@@ -376,9 +368,10 @@ class TransformationMonoid:
         Elements appear in discovery (shortlex witness) order; the identity
         is element 0 with the empty witness word even when it is not among
         the generators.  The closure that lists the elements is the proof
-        that the generators generate them; it is not run again.  Raises
-        BudgetExceededError past ``max_elements`` elements, and ValueError
-        when that budget is not an ``int`` of at least 1.
+        that the generators generate them, and the walk the words and the
+        tables come from; it is not run again.  Raises BudgetExceededError
+        past ``max_elements`` elements, and ValueError when that budget is
+        not an ``int`` of at least 1 or two generators share a name.
         """
         _require_count("max_elements", max_elements)
         if not named_generators:
@@ -386,12 +379,13 @@ class TransformationMonoid:
         names = [nm for nm, _ in named_generators]
         gens = [t for _, t in named_generators]
         degree = gens[0].degree  # the closure rejects generators of another degree
-        found = _closure(degree, [t.images for t in gens], max_elements, structure=True)
+        found = _closure(degree, [t.images for t in gens], max_elements)
         if found is None:
             raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
+        elements, walk = found
         monoid = cls.__new__(cls)
-        monoid._store(degree, tuple(found[0]), names, gens)
-        monoid._build_structure(found)
+        monoid._store(degree, tuple(elements), names, gens)
+        monoid._walk = (range(len(elements)), walk)
         return monoid
 
     @classmethod
@@ -403,16 +397,12 @@ class TransformationMonoid:
         """The constructor on a known element set, its degree read off the
         first element and the generators given as (name, map) pairs.
 
-        Raises ValueError for an empty set or one of degree 0, before the
-        constructor's checks.
+        Raises ValueError for an empty set, before the constructor's checks.
         """
         elements = tuple(elements)
         if not elements:
             raise ValueError("element set is empty")
-        degree = len(tuple(elements[0]))
-        if degree < 1:
-            raise ValueError("a transformation needs degree at least 1")
-        return cls(degree, elements, [nm for nm, _ in named_generators],
+        return cls(len(tuple(elements[0])), elements, [nm for nm, _ in named_generators],
                    [t for _, t in named_generators])
 
 

@@ -297,6 +297,18 @@ class TestEnumerateQuotient:
         last = table.size - 1
         assert table.trace((letter,), last) == table.right_mult[last][0]
 
+    def test_check_rejects_bad_input(self):
+        pres = end_star_presentation(3)
+        table = enumerate_quotient(pres, 50)
+        letter = table.alphabet[0]
+        for relation in ((("q",), ()), ((letter,), (letter, "q"))):
+            with pytest.raises(ValueError, match="letter 'q'"):
+                table.check(list(pres.relations) + [relation])
+        for relation in (((letter,),), ((), (), ()), "ab", None):
+            with pytest.raises(ValueError, match="not a pair of words"):
+                table.check([relation])
+        table.check(pres.relations)
+
     def test_deterministic(self):
         a = enumerate_quotient(swend_star_presentation(4), 50)
         b = enumerate_quotient(swend_star_presentation(4), 50)

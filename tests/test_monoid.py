@@ -154,11 +154,12 @@ class TestFromElements:
             TransformationMonoid.from_elements([identity(8), swap], gens)
 
     def test_structure_built_on_first_access(self):
-        m = enumerate_class(4, EndoClass.WEAK_END)
-        assert m._words is None and m._cayley is None
-        words = m.witness_words
-        assert m._cayley is not None
-        assert m.witness_words is words
+        for m in (enumerate_class(4, EndoClass.WEAK_END),
+                  generate(standard_generators(4, EndoClass.END))):
+            assert m._words is None and m._cayley is None
+            words = m.witness_words
+            assert m._cayley is not None
+            assert m.witness_words is words
 
     def test_words_match_generated_closure(self):
         # the same shortlex words as the discovery-order closure, element by element
@@ -204,8 +205,24 @@ class TestFromElements:
     def test_rejects_degree_zero(self):
         # the public constructor rejects Transformation([]); so does the package
         for elems in ([()], [b""]):
-            with pytest.raises(ValueError, match="degree at least 1"):
+            with pytest.raises(ValueError, match="invalid degree 0"):
                 TransformationMonoid.from_elements(elems, [])
+        # the constructor checks the degree it is given like every other count
+        for degree, elems in ((0, [()]), (True, [(0,)]), (-1, [()]), (2.0, [(0, 1)])):
+            with pytest.raises(ValueError, match="invalid degree"):
+                TransformationMonoid(degree, elems, [], [])
+
+    def test_one_distinct_name_per_generator(self):
+        t2 = [Transformation(images) for images in product(range(2), repeat=2)]
+        gens = [Transformation((1, 0)), Transformation((0, 0))]
+        for names in (["a"], ["a", "b", "c"], ["a", "a"]):
+            with pytest.raises(ValueError, match="one distinct name per generator"):
+                TransformationMonoid(2, t2, names, gens)
+            with pytest.raises(ValueError, match="one distinct name per generator"):
+                TransformationMonoid.from_elements(t2, list(zip(names, gens)) + [("a", gens[0])])
+        with pytest.raises(ValueError, match="one distinct name per generator"):
+            generate([("a", gens[0]), ("a", gens[1])])
+        assert TransformationMonoid(2, t2, ["a", "b"], gens).witness_words[-1] == ("b", "a")
 
     def test_scan_rows_kept_as_given(self):
         # the scan's bytes rows are stored as the same objects, shared by END and SEND
@@ -276,10 +293,23 @@ class TestLeftTable:
         )
     )
     def test_columns_are_left_products(self, gens):
-        m = generate([(f"g{i}", t) for i, t in enumerate(gens)])
-        columns = m._left_columns(m.right_cayley)
+        named = [(f"g{i}", t) for i, t in enumerate(gens)]
+        m = generate(named)
+        columns = m._left_columns()
         for g, column in zip(m.generators, columns):
             assert [m.elements[k] for k in column] == [g * x for x in m.elements]
+        # the same walk from a known, sorted element set gives the same
+        # words, Cayley rows and left columns, element by element
+        built = TransformationMonoid.from_elements(m.elements, named)
+        at = [built.index_of(t) for t in m.elements]
+        assert [built.witness_words[x] for x in at] == list(m.witness_words)
+        assert [[built.elements[k] for k in built.right_cayley[x]] for x in at] == [
+            [m.elements[k] for k in row] for row in m.right_cayley
+        ]
+        for column, built_column in zip(columns, built._left_columns()):
+            assert [built.elements[built_column[x]] for x in at] == [
+                m.elements[k] for k in column
+            ]
 
     def test_generator_outside_the_elements_rejected(self):
         m = generate([("a", Transformation((1, 2, 0)))])
@@ -398,6 +428,10 @@ class TestMembership:
             with pytest.raises(ValueError, match="candidate pool"):
                 rank_exact(m, 4, candidate_pool=[other])
         assert "0,1,2,3" not in m and (0, 1, 2, 3) not in m
+        # index_of rejects anything but a Transformation
+        for f in ((0, 1, 2, 3), [0, 1, 2, 3], b"\0\1\2\3", "0,1,2,3", None):
+            with pytest.raises(ValueError, match="not a Transformation"):
+                m.index_of(f)
 
 
 class TestGeneratingSets:
@@ -472,6 +506,26 @@ class TestProvenGenerators:
             TransformationMonoid(
                 4, built.elements, [nm for nm, _ in named[:3]], [t for _, t in named[:3]]
             )
+
+
+class TestOneWalk:
+    """A monoid walks its generators once: the constructor's closure also
+    gives the witness words, both Cayley tables and the J-classes."""
+
+    def test_one_closure_per_monoid(self, monkeypatch):
+        calls = []
+        real = monoid_module._closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(monoid_module, "_closure", counted)
+        m = enumerate_class(4, "wend")
+        m.witness_words, m.right_cayley, m._j_classes()
+        is_regular_monoid(m)
+        assert len(calls) == 1
+        assert m._walk is None  # released once the J-classes are built
 
 
 class TestRank:

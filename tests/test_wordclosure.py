@@ -11,6 +11,7 @@ trajectory differs, but every certified size must be the same.
 import ast
 import random
 from heapq import heappop, heappush
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -389,7 +390,7 @@ def test_large_alphabet_sized_exactly():
 
 
 def test_independent_of_the_class_table_enumerator():
-    tree = ast.parse(open(wordclosure.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(wordclosure.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
