@@ -125,9 +125,8 @@ _CLASS_ORDER = (
     EndoClass.STRONG_WEAK_END,
     EndoClass.AUT,
 )
-_MASK_BITS = tuple(
-    tuple(b for b in range(len(_CLASS_ORDER)) if mask >> b & 1) for mask in range(32)
-)
+# _SELECT[b][mask] is 1 when bit b of the mask is set
+_SELECT = tuple(bytes(mask >> b & 1 for mask in range(256)) for b in range(len(_CLASS_ORDER)))
 
 
 def _membership_mask(
@@ -173,7 +172,7 @@ def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     if f.degree != n:
         raise ValueError(f"degree mismatch: map has degree {f.degree}, graph has {n}")
     mask = _membership_mask(f.images, *_pair_table(graph))
-    return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
+    return frozenset(c for c, select in zip(_CLASS_ORDER, _SELECT) if select[mask])
 
 
 def _leaf_images(n: int) -> tuple[tuple[int, ...], ...]:
@@ -263,10 +262,6 @@ def _pair_masks(columns: Sequence[bytes], graph: SimpleGraph) -> bytes:
     return flags.to_bytes(rows, "big").translate(_MASK_OF_FLAGS)
 
 
-# _SELECT[b][mask] is 1 when bit b of the mask is set
-_SELECT = tuple(bytes(mask >> b & 1 for mask in range(256)) for b in range(len(_CLASS_ORDER)))
-
-
 @functools.lru_cache(maxsize=None)
 def _star_scan(n: int) -> tuple[tuple[bytes, ...], bytes]:
     """The candidate columns of the star with n vertices and the membership
@@ -316,7 +311,7 @@ def _orbit_census(n: int) -> dict[EndoClass, int]:
     edges, non_edges, adj = _pair_table(star_graph(n))
     leaves = n - 1
     factorial = [math.factorial(m) for m in range(n)]
-    by_mask = [0] * len(_MASK_BITS)
+    by_mask = [0] * 256  # the orbit sizes of each mask byte
     for hub, values in enumerate(_leaf_images(n)):
         for leaf_images in itertools.combinations_with_replacement(values, leaves):
             mask = _membership_mask((hub,) + leaf_images, edges, non_edges, adj)
@@ -325,11 +320,9 @@ def _orbit_census(n: int) -> dict[EndoClass, int]:
                 for v in set(leaf_images):
                     stabiliser *= factorial[leaf_images.count(v)]
                 by_mask[mask] += factorial[leaves] // stabiliser
-    counts = [0] * len(_CLASS_ORDER)
-    for mask, orbit_total in enumerate(by_mask):
-        for b in _MASK_BITS[mask]:
-            counts[b] += orbit_total
-    return dict(zip(_CLASS_ORDER, counts))
+    return {
+        c: sum(itertools.compress(by_mask, select)) for c, select in zip(_CLASS_ORDER, _SELECT)
+    }
 
 
 def count_class(n: int, cls: EndoClass | str) -> int:
@@ -340,15 +333,29 @@ def count_class(n: int, cls: EndoClass | str) -> int:
     return _orbit_census(_require_count("degree", n))[EndoClass(cls)]
 
 
-def _standard_generator_images(n: int) -> dict[str, tuple[int, ...]]:
-    """Image tuples of the named generators on degree n (n >= 3)."""
-    a0 = (0, 2, 1) + tuple(range(3, n))
-    b0 = (0,) + tuple(range(2, n)) + (1,)
-    e0 = (0, 1, 1) + tuple(range(3, n))
-    c0 = (0, 0) + tuple(range(2, n))
-    z = (1,) + (0,) * (n - 1)
-    z0 = (0,) * n
-    return {"a0": a0, "b0": b0, "e0": e0, "c0": c0, "z": z, "z0": z0}
+# the generators of each class by name, for n >= 4; SEND is END's set
+_GENERATOR_NAMES = {
+    EndoClass.END: ("a0", "b0", "e0", "z"),
+    EndoClass.WEAK_END: ("a0", "b0", "e0", "c0", "z"),
+    EndoClass.STRONG_END: ("a0", "b0", "e0", "z"),
+    EndoClass.STRONG_WEAK_END: ("a0", "b0", "e0", "z", "z0"),
+    EndoClass.AUT: ("a0", "b0"),
+}
+
+
+def _named_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]]:
+    """The generators ``_GENERATOR_NAMES`` lists for the class on degree n
+    (n >= 3); at n = 3, where a0 = b0 and e0 = z*z, without b0 and e0."""
+    images = {
+        "a0": (0, 2, 1) + tuple(range(3, n)),
+        "b0": (0,) + tuple(range(2, n)) + (1,),
+        "e0": (0, 1, 1) + tuple(range(3, n)),
+        "c0": (0, 0) + tuple(range(2, n)),
+        "z": (1,) + (0,) * (n - 1),
+        "z0": (0,) * n,
+    }
+    dropped = ("b0", "e0") if n == 3 else ()
+    return [(nm, Transformation(images[nm])) for nm in _GENERATOR_NAMES[cls] if nm not in dropped]
 
 
 def standard_generators(n: int, cls: EndoClass | str) -> list[tuple[str, Transformation]]:
@@ -360,22 +367,9 @@ def standard_generators(n: int, cls: EndoClass | str) -> list[tuple[str, Transfo
     """
     cls = EndoClass(cls)
     _require_count("degree", n, 3)
-    if cls not in (EndoClass.END, EndoClass.STRONG_WEAK_END, EndoClass.WEAK_END):
+    if cls in (EndoClass.STRONG_END, EndoClass.AUT):
         raise ValueError(f"no standard generating set for class {cls.name}")
-    gens = _standard_generator_images(n)
-    if n == 3:
-        names = {
-            EndoClass.END: ["a0", "z"],
-            EndoClass.STRONG_WEAK_END: ["a0", "z", "z0"],
-            EndoClass.WEAK_END: ["a0", "c0", "z"],
-        }[cls]
-    else:
-        names = {
-            EndoClass.END: ["a0", "b0", "e0", "z"],
-            EndoClass.STRONG_WEAK_END: ["a0", "b0", "e0", "z", "z0"],
-            EndoClass.WEAK_END: ["a0", "b0", "e0", "c0", "z"],
-        }[cls]
-    return [(nm, Transformation(gens[nm])) for nm in names]
+    return _named_generators(n, cls)
 
 
 def _class_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]]:
@@ -387,15 +381,7 @@ def _class_generators(n: int, cls: EndoClass) -> list[tuple[str, Transformation]
         if cls in (EndoClass.END, EndoClass.STRONG_END, EndoClass.AUT):
             return [("s", swap)]
         return [("s", swap), ("z0", Transformation((0, 0)))]
-    if cls is EndoClass.AUT:
-        gens = _standard_generator_images(n)
-        named = [("a0", Transformation(gens["a0"]))]
-        if n >= 4:
-            named.append(("b0", Transformation(gens["b0"])))
-        return named
-    if cls is EndoClass.STRONG_END:
-        return standard_generators(n, EndoClass.END)
-    return standard_generators(n, cls)
+    return _named_generators(n, cls)
 
 
 def enumerate_class(n: int, cls: EndoClass | str) -> TransformationMonoid:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import time
 from array import array
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, _require_count
@@ -106,17 +106,32 @@ def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size:
     return found is not None and len(found[0]) == size
 
 
+def _checked_generators(
+    names: Sequence[str], generators: Sequence[Transformation]
+) -> tuple[tuple[str, ...], tuple[Transformation, ...]]:
+    """The names and the generators as tuples; raises ValueError unless each
+    generator is a ``Transformation`` with its own ``str`` name."""
+    names, generators = tuple(names), tuple(generators)
+    for t in generators:
+        if not isinstance(t, Transformation):
+            raise ValueError(f"generator {t!r} is not a Transformation")
+    for nm in names:
+        if not isinstance(nm, str):
+            raise ValueError(f"generator name {nm!r} is not a str")
+    if not len(set(names)) == len(names) == len(generators):
+        raise ValueError(f"need one distinct name per generator: {names}")
+    return names, generators
+
+
 class _JClasses(NamedTuple):
     """The J-classes of a monoid, each listed after every class above it.
 
-    ``classes[c]`` holds element indices, ``class_of[x]`` is the class of
-    element ``x`` and bit ``d`` of ``above[c]`` is set when class ``d`` lies
-    strictly J-above class ``c``.  Class 0 is the group of units.
+    ``classes[c]`` holds element indices and ``class_of[x]`` is the class of
+    element ``x``.  Class 0 is the group of units.
     """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    above: tuple[int, ...]
 
 
 def _strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -180,7 +195,8 @@ class TransformationMonoid:
     The constructor takes the degree (an ``int`` of at least 1), the
     elements as ``Transformation`` objects, image sequences or encoded
     values (the scan's ``bytes`` rows are kept as they are), which it
-    encodes once, and one distinct name per generator.  Input already
+    encodes once, and one distinct ``str`` name per ``Transformation``
+    generator (ValueError otherwise).  Input already
     strictly increasing is kept in its order; any other is deduplicated and
     sorted.  It then proves that the generators generate exactly that set,
     by one closure that stops past the set's size, and raises ValueError
@@ -199,7 +215,7 @@ class TransformationMonoid:
         encoded = tuple(map(_encoder(_require_count("degree", degree)), elements))
         if not all(map(operator.lt, encoded, islice(encoded, 1, None))):
             encoded = tuple(sorted(dict.fromkeys(encoded)))
-        self._store(degree, encoded, generator_names, generators)
+        self._store(degree, encoded, *_checked_generators(generator_names, generators))
         found = _closure(degree, [t.images for t in self.generators], len(encoded))
         # the closure's elements are distinct, so as many of them as the set
         # has, each with an index in it, are the set
@@ -212,16 +228,14 @@ class TransformationMonoid:
         self,
         degree: int,
         encoded: tuple,
-        generator_names: Sequence[str],
-        generators: Sequence[Transformation],
+        generator_names: tuple[str, ...],
+        generators: tuple[Transformation, ...],
     ) -> None:
-        """Set every field from distinct encoded elements in their final order,
-        but ``_walk``; raises ValueError unless each generator has its own name."""
+        """Set every field from distinct encoded elements in their final order
+        and checked generators, but ``_walk``."""
         self.degree = degree
-        self.generator_names = tuple(generator_names)
-        self.generators = tuple(generators)
-        if not len(set(self.generator_names)) == len(self.generator_names) == len(generators):
-            raise ValueError(f"need one distinct name per generator: {self.generator_names}")
+        self.generator_names = generator_names
+        self.generators = generators
         self._encode = _encoder(degree)
         self._operand, self._product = _multiplication(degree)
         self._encoded = encoded
@@ -294,15 +308,7 @@ class TransformationMonoid:
             for c, members in enumerate(components):
                 for x in members:
                     class_of[x] = c
-            above = [0] * len(components)
-            for c, members in enumerate(components):  # every class above c comes first
-                reached = set(map(class_of.__getitem__,
-                                  chain.from_iterable(map(successors.__getitem__, members))))
-                for d in reached - {c}:
-                    above[d] |= above[c] | (1 << c)
-            self._jclasses = _JClasses(
-                tuple(tuple(sorted(m)) for m in components), tuple(class_of), tuple(above)
-            )
+            self._jclasses = _JClasses(tuple(tuple(sorted(m)) for m in components), tuple(class_of))
         return self._jclasses
 
     def _left_columns(self) -> list[list[int]]:
@@ -371,13 +377,15 @@ class TransformationMonoid:
         that the generators generate them, and the walk the words and the
         tables come from; it is not run again.  Raises BudgetExceededError
         past ``max_elements`` elements, and ValueError when that budget is
-        not an ``int`` of at least 1 or two generators share a name.
+        not an ``int`` of at least 1, a generator is not a ``Transformation``,
+        a name is not a ``str`` or two generators share a name.
         """
         _require_count("max_elements", max_elements)
         if not named_generators:
             raise ValueError("need at least one generator")
-        names = [nm for nm, _ in named_generators]
-        gens = [t for _, t in named_generators]
+        names, gens = _checked_generators(
+            [nm for nm, _ in named_generators], [t for _, t in named_generators]
+        )
         degree = gens[0].degree  # the closure rejects generators of another degree
         found = _closure(degree, [t.images for t in gens], max_elements)
         if found is None:
@@ -479,14 +487,17 @@ def rank_exact(
 
     The search runs one J-class at a time, from the top down, on the identity
     rank(M) = sum of r_J over the J-classes J of M, where r_J is the fewest
-    elements of J (from the pool) that together with the sets already chosen
-    for the classes above J generate all of J:
+    elements of J (from the pool) that together with the elements chosen so
+    far generate all of J:
 
     * a product lies in J only if every factor lies in J or above it, so
       every generating set meets J in at least r_J elements;
     * by induction from the top, the union of the chosen sets generates M.
 
-    The pool defaults to all of the target; the identity is never needed.
+    Every element chosen so far lies in a class taken earlier, so one that
+    is a factor of a product in J lies strictly above J; the others add
+    nothing to J.  The pool defaults to all of the target; the identity is
+    generated from the start, so it is never a candidate.
     Returns None only when it is proved that no subset of the pool of size
     <= max_subset_size generates the target.  Raises BudgetExceededError
     when ``time_budget_s`` runs out first, and ValueError when
@@ -504,23 +515,19 @@ def rank_exact(
         pool = set(map(target._find, candidate_pool))
         if None in pool:
             raise ValueError("candidate pool must be a subset of the target monoid")
-    ident = target._encode(range(target.degree))
-    pool.discard(target._index[ident])
-
     store = target._encoded
     chosen: list[int] = []
-    generated = {ident}  # the monoid generated by ``chosen``
+    generated = {target._encode(range(target.degree))}  # the monoid generated by ``chosen``
     for c, members in enumerate(green.classes):
         base = [store[x] in generated for x in members]
         if all(base):
             continue
-        helpers = [g for g in chosen if green.above[c] >> green.class_of[g] & 1]
         picked = _fewest_generators_of_class(
             target, c,
             base=base,
-            # an element the helpers already generate adds nothing as a generator
+            # an element already generated adds nothing as a generator
             candidates=[x for x, known in zip(members, base) if x in pool and not known],
-            helpers=helpers,
+            helpers=chosen,
             max_k=max_subset_size - len(chosen),
             deadline=deadline,
         )
@@ -545,7 +552,8 @@ def _fewest_generators_of_class(
     completes J-class ``c`` of the target, or None if there is none.
 
     ``base[i]`` says whether the class's i-th member is already generated by
-    the ``helpers``, the elements chosen for the classes above.  The members
+    the ``helpers``, the elements chosen so far, all from classes taken
+    before ``c``.  The members
     generated with A are the base and the closure of A under left and right
     multiplication by the helpers and A, kept inside the class: in a product
     that lands in the class, every partial product containing a factor from

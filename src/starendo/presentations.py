@@ -88,30 +88,27 @@ def sym_presentation(n: int) -> Presentation:
 def _idempotent_relations(a: Word, b: Word, e: Word, n: int) -> list[Relation]:
     """Relations tying the rank n-1 idempotent e to the Moore generators (a, b).
 
-    Shared by the full and the partial transformation presentations.
+    Shared by the full and the partial transformation presentations.  At
+    n = 3 the block is quoted without the second word of its first chain
+    and without its last relation.
     """
-    if n == 3:
-        rels = _chain(
-            a + e,
-            b + a + b * 2 + a + b + e + b * 2 + a + b + a + b * 2,
-            (e + b + a + b * 2) * 2,
-            e,
-        )
-        rels += _chain((b * 2 + a + b + e) * 2, e + b * 2 + a + b + e, (e + b * 2 + a + b) * 2)
-        return rels
-    rels = _chain(
+    first = [
         a + e,
         b * (n - 2) + a + b * 2 + e + b * (n - 2) + a + b * 2,
         b + a + b * (n - 1) + a + b + e + b * (n - 1) + a + b + a + b * (n - 1),
         (e + b + a + b * (n - 1)) * 2,
         e,
-    )
+    ]
+    if n == 3:
+        del first[1]
+    rels = _chain(*first)
     rels += _chain(
         (b * (n - 1) + a + b + e) * 2,
         e + b * (n - 1) + a + b + e,
         (e + b * (n - 1) + a + b) * 2,
     )
-    rels.append(((e + b + a + b * (n - 2) + a + b) * 2, (b + a + b * (n - 2) + a + b + e) * 2))
+    if n > 3:
+        rels.append(((e + b + a + b * (n - 2) + a + b) * 2, (b + a + b * (n - 2) + a + b + e) * 2))
     return rels
 
 

@@ -89,7 +89,8 @@ def verify_presentation(
 
     The assignment must cover exactly the alphabet and its images must
     generate the target (violations raise ValueError; they are precondition
-    failures, not refutations).
+    failures, not refutations).  A finished quotient table of any size but
+    the target's is an engine fault and raises AssertionError.
     """
     if set(assignment) != set(pres.alphabet):
         raise ValueError(
@@ -111,8 +112,15 @@ def verify_presentation(
         result = enumerate_quotient(pres, target_size, max_classes=max_classes)
         counters = result.stats
         if isinstance(result, CongruenceTable):
+            # the relations hold and the images generate the target, so the
+            # quotient has at least target_size classes, and a table comes
+            # back only at target_size classes or fewer
+            if result.size != target_size:
+                raise AssertionError(
+                    f"quotient table of {result.size} classes for a target of {target_size}"
+                )
             quotient_size = classes_reached = result.size
-            verdict = Verdict.VERIFIED if result.size == target_size else Verdict.REFUTED_SIZE
+            verdict = Verdict.VERIFIED
             note = ""
         else:
             exceeded = True

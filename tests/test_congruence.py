@@ -484,6 +484,18 @@ class TestVerifyPresentation:
         assert report.note.startswith("quotient enumeration finished above the target size; ")
         assert report.counters.classes_defined - report.counters.coincidences == 24
 
+    def test_table_below_target_is_an_engine_fault(self, monkeypatch):
+        # the relations hold and the images generate END_4, so a finished
+        # table of fewer than 30 classes can only come from a faulty engine
+        small = enumerate_quotient(sym_presentation(3), 6)
+        monkeypatch.setattr("starendo.verify.enumerate_quotient", lambda *a, **k: small)
+        with pytest.raises(AssertionError, match="6 classes for a target of 30"):
+            verify_presentation(
+                end_star_presentation(4),
+                enumerate_class(4, EndoClass.END),
+                dict(standard_generators(4, EndoClass.END)),
+            )
+
     def test_non_generating_assignment_is_an_error(self):
         pres = end_star_presentation(4)
         assignment = {x: Transformation((0, 1, 2, 3)) for x in pres.alphabet}

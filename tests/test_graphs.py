@@ -28,7 +28,7 @@ from starendo import (
 )
 from starendo.graphs import (
     _CLASS_ORDER,
-    _MASK_BITS,
+    _SELECT,
     _class_census,
     _class_generators,
     _membership_mask,
@@ -182,7 +182,7 @@ def all_map_columns(n):
 
 
 def mask_classes(mask):
-    return frozenset(_CLASS_ORDER[b] for b in _MASK_BITS[mask])
+    return frozenset(c for c, select in zip(_CLASS_ORDER, _SELECT) if select[mask])
 
 
 def assert_kernel_matches_definitions(g):
@@ -203,8 +203,10 @@ class TestEdgeConstrainedScan:
         edges, non_edges, adj = _pair_table(star_graph(n))
         literal = {c: [] for c in _CLASS_ORDER}
         for img in product(range(n), repeat=n):
-            for b in _MASK_BITS[_membership_mask(img, edges, non_edges, adj)]:
-                literal[_CLASS_ORDER[b]].append(bytes(img))
+            mask = _membership_mask(img, edges, non_edges, adj)
+            for c, select in zip(_CLASS_ORDER, _SELECT):
+                if select[mask]:
+                    literal[c].append(bytes(img))
         census = _class_census(n)
         for c in _CLASS_ORDER:
             assert census[c] == tuple(literal[c]), c
@@ -427,6 +429,33 @@ class TestStandardGenerators:
             standard_generators(2, END)
         with pytest.raises(ValueError):
             standard_generators(4, AUT)
+
+
+class TestGeneratorNames:
+    """The names ``standard_generators`` and ``_class_generators`` give, class by class."""
+
+    FULL = {END: "a0 b0 e0 z", SWEND: "a0 b0 e0 z z0", WEND: "a0 b0 e0 c0 z"}
+    # at n = 3, a0 = b0 and e0 = z*z
+    REDUCED = {END: "a0 z", SWEND: "a0 z z0", WEND: "a0 c0 z"}
+
+    def test_standard_generators(self):
+        for n in range(3, 7):
+            expected = self.REDUCED if n == 3 else self.FULL
+            for cls, names in expected.items():
+                assert [nm for nm, _ in standard_generators(n, cls)] == names.split(), (n, cls)
+
+    def test_class_generators(self):
+        expected = {
+            1: dict.fromkeys(EndoClass, ""),
+            2: {END: "s", WEND: "s z0", SEND: "s", SWEND: "s z0", AUT: "s"},
+            3: {**self.REDUCED, SEND: "a0 z", AUT: "a0"},
+        }
+        for n in range(4, 7):
+            expected[n] = {**self.FULL, SEND: "a0 b0 e0 z", AUT: "a0 b0"}
+        for n, by_class in expected.items():
+            for cls in EndoClass:
+                got = [nm for nm, _ in _class_generators(n, cls)]
+                assert got == by_class[cls].split(), (n, cls)
 
 
 API_FUNCTIONS = [enumerate_class, count_class, standard_generators, cardinality_formula]

@@ -222,6 +222,17 @@ class TestFromElements:
                 TransformationMonoid.from_elements(t2, list(zip(names, gens)) + [("a", gens[0])])
         with pytest.raises(ValueError, match="one distinct name per generator"):
             generate([("a", gens[0]), ("a", gens[1])])
+        # a generator that is not a Transformation, a name that is not a str
+        with pytest.raises(ValueError, match="not a Transformation"):
+            TransformationMonoid(2, [(0, 1), (1, 0)], ["a"], [(1, 0)])
+        with pytest.raises(ValueError, match="not a Transformation"):
+            TransformationMonoid.from_elements([(0, 1), (1, 0)], [("a", (1, 0))])
+        with pytest.raises(ValueError, match="not a Transformation"):
+            generate([("a", (1, 0))])
+        with pytest.raises(ValueError, match="not a str"):
+            TransformationMonoid(2, [(0, 1), (1, 0)], [1], [gens[0]])
+        with pytest.raises(ValueError, match="not a str"):
+            generate([(1, gens[0])])
         assert TransformationMonoid(2, t2, ["a", "b"], gens).witness_words[-1] == ("b", "a")
 
     def test_scan_rows_kept_as_given(self):

@@ -250,3 +250,21 @@ def test_relation_tuples_unchanged(builder):
     degrees, digest = RELATION_DIGESTS[builder]
     text = "\n".join(repr((p.alphabet, p.relations)) for p in map(builder, degrees))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of presentation_to_json for n = 3..8, concatenated: the T_3 idempotent
+# block feeds T_3, PT_3 and, through their n-1 bases, all three star families at n = 4
+JSON_DIGESTS = {
+    sym_presentation: "2ce0a68bea37c9158c884998385ed1f0d79f3ecf44feace9ec760c7db9af4688",
+    full_transf_presentation: "4eb98bd81b411862b53241e4b87f04cd131426c6eef789701cb36b24cae537c9",
+    partial_transf_presentation: "032e6dcb766c71972f9767203e6ae9c0e28b5c90206be41346957b3d743151c1",
+    end_star_presentation: "d2229dd79792e1dc17e2e5930eb3ed953aebbb9ddf4c4fb3727ddd58990bf5dc",
+    swend_star_presentation: "f581f9324c8aafbd718e385f87e60ad0f1c27d79d4e6fda331d93d6bf4ce0ae3",
+    wend_star_presentation: "008991c3ab137b53559d2acef1470a9a0ef14c8d5af4fdeb3e98a5a05b58235c",
+}
+
+
+@pytest.mark.parametrize("builder", list(JSON_DIGESTS), ids=lambda b: b.__name__)
+def test_json_documents_unchanged(builder):
+    text = "".join(map(presentation_to_json, map(builder, range(3, 9))))
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_DIGESTS[builder]
