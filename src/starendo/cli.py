@@ -32,7 +32,7 @@ from .graphs import (
     enumerate_class,
     standard_generators,
 )
-from .monoid import format_monoid, is_generating_set, rank_exact
+from .monoid import DEFAULT_TIME_BUDGET_S, format_monoid, is_generating_set, rank_exact
 from .presentations import (
     end_star_presentation,
     full_transf_presentation,
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="minimum generating set size, one J-class at a time")
     add_common(p, all_classes)
     p.add_argument("--max-k", type=_parse_count, required=True)
-    p.add_argument("--budget-seconds", type=float, default=600.0)
+    p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET_S)
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("dump-presentation", help="write a presentation as structured text")
@@ -285,6 +285,8 @@ def _parameters(args) -> dict:
     parameters = {"n": args.n, "class": args.cls}
     if args.command == "rank":
         parameters["max_k"] = args.max_k
+        seconds = args.budget_seconds  # JSON has no infinity; null reads as no limit
+        parameters["budget_seconds"] = None if seconds == float("inf") else seconds
     if args.command == "verify":
         parameters["budget_classes"] = args.budget_classes
     return parameters

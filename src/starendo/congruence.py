@@ -58,16 +58,10 @@ class QuotientStats:
 
 @dataclass(frozen=True)
 class QuotientExceeded:
-    """Budget signal: enumeration stopped, or finished above the bound.
-
-    ``completed`` is True when the congruence was fully enumerated and
-    simply has more classes than requested (so ``classes_reached`` is the
-    exact size); False means the class budget ran out mid-enumeration,
-    which says nothing about finiteness.
-    """
+    """Budget signal: the class budget ran out mid-enumeration, which says
+    nothing about finiteness; ``classes_reached`` is the live count then."""
 
     classes_reached: int
-    completed: bool
     stats: Optional[QuotientStats] = field(default=None, compare=False)
 
 
@@ -331,38 +325,24 @@ def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
 
 
 def enumerate_quotient(
-    pres: Presentation, bound: int, *, max_classes: int | None = None
+    pres: Presentation, *, max_classes: int
 ) -> Union[CongruenceTable, QuotientExceeded]:
     """Enumerate the quotient of the free monoid by the presentation's congruence.
 
-    Returns the complete table when the quotient has at most ``bound`` classes.
-    Otherwise returns :class:`QuotientExceeded`: with ``completed=True`` and
-    the exact size when enumeration finished above the bound, or
-    ``completed=False`` when the internal class budget (``max_classes``,
-    default scaled from the bound) ran out first.  Raises ValueError when
-    ``bound`` or ``max_classes`` is not an ``int`` (a ``bool`` is not one)
-    of at least 1.
+    Returns the complete table whenever enumeration finishes, whatever its
+    size, and :class:`QuotientExceeded` when more than ``max_classes``
+    classes are live at once first.  Raises ValueError when
+    ``max_classes`` is not an ``int`` (a ``bool`` is not one) of at least 1.
     """
-    _require_count("bound", bound)
-    if max_classes is not None:
-        _require_count("max_classes", max_classes)
+    _require_count("max_classes", max_classes)
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
-    # enumeration can transiently hold many more classes than the final
-    # quotient before collapses land, hence the generous default slack.
-    # Peak live classes against the final size, from QuotientStats: end n=6
-    # 55,128 / 3,130 (17.6x), wend n=6 111,781 / 7,936 (14.1x).  The slack is
-    # not always enough: end n=7 passes this cap (1,121,936 for a final
-    # 46,662) with 1,121,950 live classes and stops unfinished
-    cap = max_classes if max_classes is not None else max(24 * bound + 2048, 8192)
     n_letters = len(pres.alphabet)
-    table, find, live, stats = _run_table_enumeration(n_letters, relations, cap)
+    table, find, live, stats = _run_table_enumeration(n_letters, relations, max_classes)
     if table is None:
-        return QuotientExceeded(classes_reached=live, completed=False, stats=stats)
-    if live > bound:
-        return QuotientExceeded(classes_reached=live, completed=True, stats=stats)
+        return QuotientExceeded(classes_reached=live, stats=stats)
 
     # breadth-first renumbering from the class of the empty word; the first
     # word reaching a class in this order is its shortlex-minimal representative

@@ -167,7 +167,10 @@ def _membership_mask(
 
 
 def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
-    """The exact set of endomorphism classes ``f`` belongs to on ``graph``."""
+    """The exact set of endomorphism classes ``f`` belongs to on ``graph``;
+    ValueError for a value that is not a Transformation of the graph's degree."""
+    if not isinstance(f, Transformation):
+        raise ValueError(f"not a Transformation: {f!r}")
     n = graph.vertex_count
     if f.degree != n:
         raise ValueError(f"degree mismatch: map has degree {f.degree}, graph has {n}")

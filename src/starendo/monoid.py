@@ -37,6 +37,7 @@ from .transform import Transformation, _compose_images, _trusted
 Word = tuple[str, ...]
 
 DEFAULT_ELEMENT_BUDGET = 10**6
+DEFAULT_TIME_BUDGET_S = 600.0
 
 
 # a bytes.translate table has 256 entries, one per byte value
@@ -481,7 +482,7 @@ def rank_exact(
     max_subset_size: int,
     candidate_pool: Optional[Sequence[Transformation]] = None,
     *,
-    time_budget_s: float = 600.0,
+    time_budget_s: float = DEFAULT_TIME_BUDGET_S,
 ) -> Optional[int]:
     """Smallest k <= max_subset_size such that some k-subset of the pool generates the target.
 
@@ -502,11 +503,14 @@ def rank_exact(
     <= max_subset_size generates the target.  Raises BudgetExceededError
     when ``time_budget_s`` runs out first, and ValueError when
     ``max_subset_size`` is not an ``int`` of at least 0, the time budget is
-    NaN or negative, or the pool is not inside the target.
+    not an ``int`` or ``float`` (a ``bool`` is not one) of at least 0 (NaN
+    is not), or the pool is not inside the target.
     """
     _require_count("max_subset_size", max_subset_size, 0)
-    if not time_budget_s >= 0:  # NaN fails every comparison, so no deadline would hold
-        raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s}")
+    # NaN fails every comparison, so no deadline would hold; `not >= 0` rejects it
+    if (isinstance(time_budget_s, bool) or not isinstance(time_budget_s, (int, float))
+            or not time_budget_s >= 0):
+        raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s!r}")
     deadline = time.monotonic() + time_budget_s
     green = target._j_classes()
     if candidate_pool is None:

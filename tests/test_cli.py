@@ -18,6 +18,7 @@ from starendo import (
     sym_presentation,
 )
 from starendo.cli import main
+from starendo.monoid import DEFAULT_TIME_BUDGET_S
 
 
 def run(capsys, *argv):
@@ -343,6 +344,17 @@ class TestRank:
         doc = json.loads(out)
         assert doc["results"]["verdict"] == "unknown-budget"
         assert doc["results"]["rank"] is None and doc["results"]["lower_bound"] is None
+        # the report names the budget that stopped the search
+        assert doc["parameters"] == {"n": 4, "class": "wend", "max_k": 5,
+                                     "budget_seconds": 0.000001}
+
+    def test_json_echoes_default_time_budget(self, capsys):
+        _, out, _ = run(capsys, "rank", "--n", "3", "--class", "wend", "--max-k", "3",
+                        "--json")
+        assert json.loads(out)["parameters"]["budget_seconds"] == DEFAULT_TIME_BUDGET_S
+        _, out, _ = run(capsys, "rank", "--n", "3", "--class", "wend", "--max-k", "3",
+                        "--json", "--budget-seconds", "inf")
+        assert json.loads(out)["parameters"]["budget_seconds"] is None
 
 
     @pytest.mark.parametrize("budget", ["nan", "-1"])

@@ -37,6 +37,10 @@ from starendo import (
 )
 
 
+# a class budget above the peak live count of every run below that completes
+ENOUGH = 10**6
+
+
 def reference_enumeration(n_letters, relations, cap):
     """Plain HLT: returns (table, find, live) or (None, None, live) on budget."""
     table: list[list] = [[None] * n_letters]
@@ -114,18 +118,15 @@ def reference_enumeration(n_letters, relations, cap):
     return table, find, live
 
 
-def reference_quotient(pres, bound, max_classes=None):
+def reference_quotient(pres, max_classes):
     """``enumerate_quotient`` on the plain HLT loop, without the stats."""
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
-    cap = max_classes if max_classes is not None else max(24 * bound + 2048, 8192)
-    table, find, live = reference_enumeration(len(pres.alphabet), relations, cap)
+    table, find, live = reference_enumeration(len(pres.alphabet), relations, max_classes)
     if table is None:
-        return QuotientExceeded(classes_reached=live, completed=False)
-    if live > bound:
-        return QuotientExceeded(classes_reached=live, completed=True)
+        return QuotientExceeded(classes_reached=live)
     n_letters = len(pres.alphabet)
     root = find(0)
     order = {root: 0}
@@ -154,10 +155,10 @@ def reference_quotient(pres, bound, max_classes=None):
     )
 
 
-def assert_same_trajectory(pres, bound, max_classes=None):
+def assert_same_trajectory(pres, max_classes=ENOUGH):
     """Both engines give equal results, tables included; returns the new one."""
-    got = enumerate_quotient(pres, bound, max_classes=max_classes)
-    want = reference_quotient(pres, bound, max_classes=max_classes)
+    got = enumerate_quotient(pres, max_classes=max_classes)
+    want = reference_quotient(pres, max_classes)
     assert type(got) is type(want)
     assert got == want  # the whole table on completion; stats are not compared
     stats = got.stats
@@ -199,7 +200,7 @@ class TestTrajectoryMatchesReference:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("cls", ["end", "swend", "wend"])
     def test_star_tables(self, cls, n):
-        table = assert_same_trajectory(STAR_BUILDERS[cls](n), STAR_SIZES[cls][n])
+        table = assert_same_trajectory(STAR_BUILDERS[cls](n))
         assert table.size == STAR_SIZES[cls][n]
         if n == 6:
             assert table.stats == STAR_STATS_N6[cls]
@@ -212,18 +213,30 @@ class TestTrajectoryMatchesReference:
         ids=["sym3", "sym4", "sym5", "T3", "T4", "PT3", "PT4"],
     )
     def test_classical_tables(self, pres, size):
-        assert assert_same_trajectory(pres, size).size == size
+        assert assert_same_trajectory(pres).size == size
 
     def test_classes_reached_on_a_sweep_of_caps(self):
         # without z z = ... the quotient is infinite, so every cap runs out
         pres = without_zz(5)
         for cap in range(50, 3000, 37):
-            res = assert_same_trajectory(pres, 260, max_classes=cap)
-            assert not res.completed and res.classes_reached > cap
+            res = assert_same_trajectory(pres, max_classes=cap)
+            assert isinstance(res, QuotientExceeded) and res.classes_reached > cap
 
     def test_completed_above_bound(self):
-        res = assert_same_trajectory(sym_presentation(4), 10)
-        assert res == QuotientExceeded(classes_reached=24, completed=True)
+        # the engine takes no target size: a finished quotient is a table
+        pres = sym_presentation(4)
+        res = assert_same_trajectory(pres)
+        assert isinstance(res, CongruenceTable) and res.size == 24
+        res.check(pres.relations)
+
+    @pytest.mark.parametrize("builder", [end_star_presentation, swend_star_presentation,
+                                         wend_star_presentation], ids=["end", "swend", "wend"])
+    def test_cap_never_changes_a_completed_table(self, builder):
+        pres = builder(4)
+        loose = enumerate_quotient(pres, max_classes=ENOUGH)
+        tight = enumerate_quotient(pres, max_classes=loose.stats.peak_live)
+        assert isinstance(tight, CongruenceTable)
+        assert tight == loose and tight.stats == loose.stats
 
     @given(
         st.integers(1, 3).flatmap(
@@ -249,33 +262,36 @@ class TestTrajectoryMatchesReference:
             alphabet,
             [(tuple(alphabet[i] for i in u), tuple(alphabet[i] for i in v)) for u, v in rels],
         )
-        assert_same_trajectory(pres, 100, max_classes=cap)
+        assert_same_trajectory(pres, max_classes=cap)
 
 
 class TestEnumerateQuotient:
     def test_order_two_group(self):
-        table = enumerate_quotient(Presentation(("a",), [(("a", "a"), ())]), 10)
+        pres = Presentation(("a",), [(("a", "a"), ())])
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
         assert isinstance(table, CongruenceTable)
         assert table.size == 2
         assert table.representative_words == ((), ("a",))
 
     def test_free_monoid_exceeds(self):
-        res = enumerate_quotient(Presentation(("a",), []), 10)
-        assert isinstance(res, QuotientExceeded)
-        assert not res.completed
+        res = enumerate_quotient(Presentation(("a",), []), max_classes=8192)
+        assert res == QuotientExceeded(classes_reached=8193)
 
     def test_completed_above_bound_reports_exact_size(self):
-        res = enumerate_quotient(sym_presentation(3), 3)
-        assert res == QuotientExceeded(classes_reached=6, completed=True)
+        # a quotient larger than the caller expects comes back whole
+        pres = sym_presentation(3)
+        res = enumerate_quotient(pres, max_classes=ENOUGH)
+        assert isinstance(res, CongruenceTable) and res.size == 6
+        res.check(pres.relations)
 
     def test_end_star_n4(self):
-        table = enumerate_quotient(end_star_presentation(4), 100)
+        table = enumerate_quotient(end_star_presentation(4), max_classes=ENOUGH)
         assert isinstance(table, CongruenceTable)
         assert table.size == 30
 
     def test_table_well_formed(self):
         pres = wend_star_presentation(3)
-        table = enumerate_quotient(pres, 50)
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
         assert table.size == 17
         table.check(pres.relations)  # every relation at every class
         assert table.trace(()) == 0
@@ -286,7 +302,7 @@ class TestEnumerateQuotient:
         assert keys == sorted(keys)
 
     def test_trace_rejects_bad_input(self):
-        table = enumerate_quotient(end_star_presentation(3), 50)
+        table = enumerate_quotient(end_star_presentation(3), max_classes=ENOUGH)
         letter = table.alphabet[0]
         for word in (("q",), (letter, "q")):
             with pytest.raises(ValueError, match="letter 'q'"):
@@ -299,7 +315,7 @@ class TestEnumerateQuotient:
 
     def test_check_rejects_bad_input(self):
         pres = end_star_presentation(3)
-        table = enumerate_quotient(pres, 50)
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
         letter = table.alphabet[0]
         for relation in ((("q",), ()), ((letter,), (letter, "q"))):
             with pytest.raises(ValueError, match="letter 'q'"):
@@ -310,44 +326,40 @@ class TestEnumerateQuotient:
         table.check(pres.relations)
 
     def test_deterministic(self):
-        a = enumerate_quotient(swend_star_presentation(4), 50)
-        b = enumerate_quotient(swend_star_presentation(4), 50)
+        a = enumerate_quotient(swend_star_presentation(4), max_classes=ENOUGH)
+        b = enumerate_quotient(swend_star_presentation(4), max_classes=ENOUGH)
         assert a == b
 
     def test_relabeling_invariance(self):
         p = full_transf_presentation(3)
         q = p.relabel({"a": "x", "b": "y", "e": "w"})
-        assert enumerate_quotient(p, 30).size == enumerate_quotient(q, 30).size == 27
+        p_size = enumerate_quotient(p, max_classes=ENOUGH).size
+        assert p_size == enumerate_quotient(q, max_classes=ENOUGH).size == 27
 
     def test_adding_relation_never_grows(self):
         for pres in (sym_presentation(3), end_star_presentation(3)):
-            base = enumerate_quotient(pres, 50).size
+            base = enumerate_quotient(pres, max_classes=ENOUGH).size
             for extra in ((("a",) if "a" in pres.alphabet else ("a0",), ()),):
                 bigger = Presentation(pres.alphabet, pres.relations + (extra,))
-                assert enumerate_quotient(bigger, 50).size <= base
+                assert enumerate_quotient(bigger, max_classes=ENOUGH).size <= base
 
     def test_removing_relation_never_shrinks(self):
         pres = end_star_presentation(4)
-        base = enumerate_quotient(pres, 100).size
+        base = enumerate_quotient(pres, max_classes=ENOUGH).size
         for i in range(len(pres.relations)):
             weakened = Presentation(
                 pres.alphabet, pres.relations[:i] + pres.relations[i + 1:]
             )
-            res = enumerate_quotient(weakened, 2000)
+            res = enumerate_quotient(weakened, max_classes=50_048)
             size = res.size if isinstance(res, CongruenceTable) else res.classes_reached
             assert size >= base
 
-    def test_bad_bound(self):
-        for bound in (0, True, False, 2.5, "6"):
-            with pytest.raises(ValueError, match="bound"):
-                enumerate_quotient(sym_presentation(3), bound)
-
-    @pytest.mark.parametrize("max_classes", [0, -3, True, 2.5])
+    @pytest.mark.parametrize("max_classes", [0, -3, True, 2.5, None])
     def test_class_budget_below_one_rejected(self, max_classes):
         with pytest.raises(ValueError, match="max_classes"):
-            enumerate_quotient(sym_presentation(3), 10, max_classes=max_classes)
-        assert enumerate_quotient(sym_presentation(3), 10, max_classes=1) == QuotientExceeded(
-            classes_reached=2, completed=False)
+            enumerate_quotient(sym_presentation(3), max_classes=max_classes)
+        assert enumerate_quotient(sym_presentation(3), max_classes=1) == QuotientExceeded(
+            classes_reached=2)
 
 
 class TestWordClosureOracle:
@@ -370,7 +382,7 @@ class TestWordClosureOracle:
     )
     def test_agrees_with_table_enumeration(self, pres, expected):
         assert word_closure_size(pres) == expected
-        table = enumerate_quotient(pres, expected)
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
         assert isinstance(table, CongruenceTable) and table.size == expected
 
     def test_budget_returns_none(self):
@@ -391,8 +403,8 @@ class TestWordClosureOracle:
             if not rels:
                 continue
             pres = Presentation(alphabet, rels)
-            res = enumerate_quotient(pres, 300, max_classes=20000)
-            if not isinstance(res, CongruenceTable):
+            res = enumerate_quotient(pres, max_classes=20000)
+            if not isinstance(res, CongruenceTable) or res.size > 300:
                 continue
             finite += 1
             assert word_closure_size(pres, max_words=500_000) == res.size, pres
@@ -426,7 +438,8 @@ class TestVerifyPresentation:
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == report.target_size == 30
-        assert report.counters == enumerate_quotient(end_star_presentation(4), 30).stats
+        table = enumerate_quotient(end_star_presentation(4), max_classes=ENOUGH)
+        assert report.counters == table.stats
         assert report.to_dict()["counters"] == {
             "classes_defined": report.counters.classes_defined,
             "peak_live": report.counters.peak_live,
@@ -487,7 +500,7 @@ class TestVerifyPresentation:
     def test_table_below_target_is_an_engine_fault(self, monkeypatch):
         # the relations hold and the images generate END_4, so a finished
         # table of fewer than 30 classes can only come from a faulty engine
-        small = enumerate_quotient(sym_presentation(3), 6)
+        small = enumerate_quotient(sym_presentation(3), max_classes=ENOUGH)
         monkeypatch.setattr("starendo.verify.enumerate_quotient", lambda *a, **k: small)
         with pytest.raises(AssertionError, match="6 classes for a target of 30"):
             verify_presentation(
@@ -495,6 +508,18 @@ class TestVerifyPresentation:
                 enumerate_class(4, EndoClass.END),
                 dict(standard_generators(4, EndoClass.END)),
             )
+
+    @pytest.mark.parametrize("max_classes", [0, -1, True, 2.5, "7"])
+    def test_class_budget_checked_where_it_enters(self, max_classes):
+        # the swapped absorbers fail the relations, so no enumeration runs
+        # that could reject the budget later
+        pres = swend_star_presentation(4)
+        assignment = dict(standard_generators(4, EndoClass.STRONG_WEAK_END))
+        assignment["z"], assignment["z0"] = assignment["z0"], assignment["z"]
+        target = enumerate_class(4, EndoClass.STRONG_WEAK_END)
+        assert verify_presentation(pres, target, assignment).verdict is Verdict.REFUTED_RELATIONS
+        with pytest.raises(ValueError, match="max_classes"):
+            verify_presentation(pres, target, assignment, max_classes=max_classes)
 
     def test_non_generating_assignment_is_an_error(self):
         pres = end_star_presentation(4)
@@ -515,7 +540,7 @@ class TestVerifyPresentation:
         # appending a generator letter matches the table transition
         pres = end_star_presentation(4)
         assignment = dict(standard_generators(4, EndoClass.END))
-        table = enumerate_quotient(pres, 30)
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
         values = [evaluate_word(assignment, w, 4) for w in table.representative_words]
         assert len(set(values)) == table.size
         for q in range(table.size):

@@ -86,6 +86,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(identity(3), star_graph(4))
 
+    def test_image_tuple_is_not_a_map(self):
+        # as index_of does: a ValueError, not a stray AttributeError
+        with pytest.raises(ValueError, match="not a Transformation"):
+            classify((0, 1, 1), star_graph(3))
+
     def test_named_generators_memberships(self):
         # hub-swap z is edge-preserving; constant z0 and half-collapse c0 are not
         for n in (4, 5):

@@ -145,7 +145,8 @@ def test_budget_exhaustion_raises():
 def test_time_budget_must_be_a_number_at_least_zero():
     end3 = enumerate_class(3, EndoClass.END)
     # a NaN deadline fails every comparison, so the search would never stop
-    for budget in (float("nan"), -1.0, -1e-9):
+    # "5", None and True are not numbers of seconds, though True would pass as 1
+    for budget in (float("nan"), -1.0, -1e-9, "5", None, True):
         with pytest.raises(ValueError, match="time budget"):
             rank_exact(end3, 2, time_budget_s=budget)
     assert rank_exact(end3, 2, time_budget_s=float("inf")) == 2

@@ -109,7 +109,7 @@ class TestCheck:
                                               (wend_star_presentation, 88)])
     def test_every_changed_entry_is_caught(self, builder, size):
         pres = builder(4)
-        table = enumerate_quotient(pres, size)
+        table = enumerate_quotient(pres, max_classes=8192)
         assert isinstance(table, CongruenceTable) and table.size == size
         table.check(pres.relations)
         for q in range(size):

@@ -386,7 +386,7 @@ def test_large_alphabet_sized_exactly():
     pres = Presentation(alphabet, rels)
     size, stats = word_closure(pres)
     assert_certified(pres, size, stats)
-    assert size == 2 == enumerate_quotient(pres, 2).size
+    assert size == 2 == enumerate_quotient(pres, max_classes=8192).size
 
 
 def test_independent_of_the_class_table_enumerator():
