@@ -58,6 +58,17 @@ PRESENTATION_BUILDERS = {
 CENSUS_CLASSES = ["end", "swend", "wend", "aut"]
 
 
+def _dump_builders() -> dict:
+    """dump-presentation's builders by name; read at call time, so that a
+    replaced entry of ``PRESENTATION_BUILDERS`` applies."""
+    return {
+        "sym": sym_presentation,
+        "tfull": full_transf_presentation,
+        "tpartial": partial_transf_presentation,
+        **PRESENTATION_BUILDERS,
+    }
+
+
 def _emit(text: str, output: str | None) -> str:
     """Write ``text`` to the ``output`` path, if one is given, and return
     what is left for stdout.  A path that cannot be written is a usage error.
@@ -167,13 +178,7 @@ def cmd_rank(args) -> tuple[int, dict, str]:
 
 
 def cmd_dump_presentation(args) -> tuple[int, dict, str]:
-    builders = {
-        "sym": sym_presentation,
-        "tfull": full_transf_presentation,
-        "tpartial": partial_transf_presentation,
-        **PRESENTATION_BUILDERS,
-    }
-    pres = builders[args.which](args.n)
+    pres = _dump_builders()[args.which](args.n)
     return EXIT_OK, {}, _emit(presentation_to_json(pres), args.output)
 
 
@@ -265,8 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("dump-presentation", help="write a presentation as structured text")
-    p.add_argument("--which", choices=["sym", "tfull", "tpartial", "end", "swend", "wend"],
-                   required=True)
+    p.add_argument("--which", choices=list(_dump_builders()), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(handler=cmd_dump_presentation)

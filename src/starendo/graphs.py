@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, _require_count
 from .monoid import TransformationMonoid
-from .transform import Transformation, _compose_images
+from .transform import Transformation, _compose_images, _require_map
 
 # The largest degree the scan accepts.  At n = 9 the candidates alone would
 # fill 9 columns of 9**8 + 8 * 2**8 = 43,048,769 bytes each, and
@@ -169,11 +169,7 @@ def _membership_mask(
 def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     """The exact set of endomorphism classes ``f`` belongs to on ``graph``;
     ValueError for a value that is not a Transformation of the graph's degree."""
-    if not isinstance(f, Transformation):
-        raise ValueError(f"not a Transformation: {f!r}")
-    n = graph.vertex_count
-    if f.degree != n:
-        raise ValueError(f"degree mismatch: map has degree {f.degree}, graph has {n}")
+    _require_map(f, graph.vertex_count)
     mask = _membership_mask(f.images, *_pair_table(graph))
     return frozenset(c for c, select in zip(_CLASS_ORDER, _SELECT) if select[mask])
 

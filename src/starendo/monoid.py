@@ -32,7 +32,7 @@ from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, _require_count
-from .transform import Transformation, _compose_images, _trusted
+from .transform import Transformation, _compose_images, _require_map, _trusted
 
 Word = tuple[str, ...]
 
@@ -112,10 +112,7 @@ def _checked_generators(
 ) -> tuple[tuple[str, ...], tuple[Transformation, ...]]:
     """The names and the generators as tuples; raises ValueError unless each
     generator is a ``Transformation`` with its own ``str`` name."""
-    names, generators = tuple(names), tuple(generators)
-    for t in generators:
-        if not isinstance(t, Transformation):
-            raise ValueError(f"generator {t!r} is not a Transformation")
+    names, generators = tuple(names), tuple(map(_require_map, generators))
     for nm in names:
         if not isinstance(nm, str):
             raise ValueError(f"generator name {nm!r} is not a str")
@@ -351,11 +348,7 @@ class TransformationMonoid:
 
     def index_of(self, f: Transformation) -> Optional[int]:
         """The index of ``f``, None for a map outside; ValueError for any other value."""
-        if not isinstance(f, Transformation):
-            raise ValueError(f"not a Transformation: {f!r}")
-        if f.degree != self.degree:
-            raise ValueError(f"degree mismatch: {f.degree} vs {self.degree}")
-        return self._find(f)
+        return self._find(_require_map(f, self.degree))
 
     def __repr__(self) -> str:
         return (
@@ -431,12 +424,13 @@ def is_generating_set(
 
     Answers at once, without a closure, when the maps' image set is that of
     the target's own generators, which generate it by construction.
+    ValueError for a target or a map of the wrong type, or a map of another degree.
     """
-    gens = list(transformations)
+    if not isinstance(target, TransformationMonoid):
+        raise ValueError(f"not a TransformationMonoid: {target!r}")
+    gens = [_require_map(t, target.degree) for t in transformations]
     if not gens:
         return len(target) == 1
-    if any(t.degree != target.degree for t in gens):
-        raise ValueError("degree mismatch with target monoid")
     if {t.images for t in gens} == {t.images for t in target.generators}:
         return True
     if any(t not in target for t in gens):
@@ -455,16 +449,14 @@ def evaluate_word(
     if degree is None:
         if not assignment:
             raise ValueError("cannot infer degree from an empty assignment")
-        degree = next(iter(assignment.values())).degree
+        degree = _require_map(next(iter(assignment.values()))).degree
     result = tuple(range(degree))
     for letter in word:
         try:
             t = assignment[letter]
         except KeyError:
             raise ValueError(f"letter {letter!r} has no assigned transformation") from None
-        if t.degree != degree:
-            raise ValueError(f"letter {letter!r} has degree {t.degree}, expected {degree}")
-        result = _compose_images(result, t.images)
+        result = _compose_images(result, _require_map(t, degree).images)
     return Transformation(result)
 
 

@@ -25,28 +25,34 @@ Relation = tuple[Word, Word]
 
 @dataclass(frozen=True)
 class Presentation:
-    """Alphabet plus relation pairs; words are tuples of letter names."""
+    """Alphabet plus relation pairs; words are tuples of ``str`` letter names.
+    ValueError for any other letter, or a relation that is repeated or not a pair of words."""
 
     alphabet: tuple[str, ...]
     relations: tuple[Relation, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(
-            self, "relations", tuple((tuple(u), tuple(v)) for u, v in self.relations)
-        )
-        if len(set(self.alphabet)) != len(self.alphabet):
+        alphabet = tuple(self.alphabet)
+        for x in alphabet:
+            if not isinstance(x, str):
+                raise ValueError(f"letter {x!r} is not a string")
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet has repeated letters")
-        letters = set(self.alphabet)
-        seen = set()
-        for u, v in self.relations:
-            for word in (u, v):
-                for x in word:
-                    if x not in letters:
-                        raise ValueError(f"letter {x!r} not in alphabet {self.alphabet}")
-            if (u, v) in seen:
+        letters = set(alphabet)
+        relations: dict[Relation, None] = {}  # a set that keeps the given order
+        for i, rel in enumerate(self.relations):
+            try:
+                u, v = map(tuple, rel)
+            except (TypeError, ValueError):
+                raise ValueError(f"relation {i}: expected a pair of words, got {rel!r}") from None
+            for x in u + v:
+                if not isinstance(x, str) or x not in letters:
+                    raise ValueError(f"letter {x!r} not in alphabet {alphabet}")
+            if (u, v) in relations:
                 raise ValueError(f"duplicate relation {u} = {v}")
-            seen.add((u, v))
+            relations[u, v] = None
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "relations", tuple(relations))
 
     def relabel(self, mapping: Mapping[str, str]) -> "Presentation":
         """Rename letters; unmapped letters keep their names."""

@@ -108,6 +108,16 @@ def _trusted(images: tuple[int, ...]) -> Transformation:
     return t
 
 
+def _require_map(value: object, degree: int | None = None) -> Transformation:
+    """``value`` itself when it is a :class:`Transformation` (of ``degree``, if
+    given); ValueError otherwise.  The map counterpart of ``_require_count``."""
+    if not isinstance(value, Transformation):
+        raise ValueError(f"not a Transformation: {value!r}")
+    if degree is not None and value.degree != degree:
+        raise ValueError(f"degree mismatch: {value.degree} vs {degree}")
+    return value
+
+
 def identity(n: int) -> Transformation:
     """The map fixing every vertex of {0, ..., n-1}."""
     return Transformation(range(_require_count("degree", n)))
@@ -115,10 +125,10 @@ def identity(n: int) -> Transformation:
 
 def compose(f: Transformation, g: Transformation) -> Transformation:
     """Apply ``f`` first, then ``g``: the result sends i to g[f[i]]."""
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
+    _require_map(g, _require_map(f).degree)
     return Transformation(_compose_images(f.images, g.images))
 
 
 def is_idempotent(f: Transformation) -> bool:
+    _require_map(f)
     return _compose_images(f.images, f.images) == f.images

@@ -33,6 +33,15 @@ class Verdict(enum.Enum):
     INCONCLUSIVE_BUDGET = "inconclusive-budget"
 
 
+# the start of each report's note, before SOUNDNESS_NOTE
+_NOTE_PREFIX = {
+    Verdict.VERIFIED: "",
+    Verdict.REFUTED_RELATIONS: "some relations fail on the generators; ",
+    Verdict.REFUTED_SIZE: "quotient enumeration finished above the target size; ",
+    Verdict.INCONCLUSIVE_BUDGET: "class budget exhausted before enumeration finished; ",
+}
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     presentation_id: str
@@ -40,7 +49,6 @@ class VerificationReport:
     relations_satisfied: bool
     failing_relations: tuple[Relation, ...]
     quotient_size: Optional[int]  # exact size when known, else None
-    quotient_exceeded: bool
     classes_reached: Optional[int]
     target_size: int
     verdict: Verdict
@@ -55,7 +63,9 @@ class VerificationReport:
             "failing_relations": [
                 [list(u), list(v)] for u, v in self.failing_relations
             ],
-            "quotient_size": "exceeded" if self.quotient_exceeded and self.quotient_size is None else self.quotient_size,
+            "quotient_size": (
+                "exceeded" if self.verdict is Verdict.INCONCLUSIVE_BUDGET else self.quotient_size
+            ),
             "classes_reached": self.classes_reached,
             "target_size": self.target_size,
             "verdict": self.verdict.value,
@@ -84,74 +94,50 @@ def verify_presentation(
     *,
     presentation_id: str = "presentation",
     target_id: str = "monoid",
-    max_classes: int | None = None,
+    max_classes: int,
 ) -> VerificationReport:
     """Decide whether the presentation defines the target monoid.
 
     The assignment must cover exactly the alphabet and its images must
     generate the target (violations raise ValueError; they are precondition
     failures, not refutations), and ``max_classes``, the class budget of the
-    quotient enumeration, must be None or an ``int`` of at least 1 (else
-    ValueError).  A finished quotient table smaller than the target is an
-    engine fault and raises AssertionError.
+    quotient enumeration, is the caller's and must be an ``int`` of at least 1
+    (else ValueError).  A finished quotient table smaller than the target is
+    an engine fault and raises AssertionError.
     """
-    target_size = len(target)
-    if max_classes is None:
-        # enumeration can transiently hold many more classes than the final
-        # quotient before collapses land, hence the generous default slack.
-        # Peak live classes against the final size, from QuotientStats: end n=6
-        # 55,128 / 3,130 (17.6x), wend n=6 111,781 / 7,936 (14.1x).  The slack is
-        # not always enough: end n=7 passes this cap (1,121,936 for a final
-        # 46,662) with 1,121,950 live classes and stops unfinished
-        max_classes = max(24 * target_size + 2048, 8192)
     _require_count("max_classes", max_classes)
     if set(assignment) != set(pres.alphabet):
         raise ValueError(
             f"assignment letters {sorted(assignment)} do not match alphabet "
             f"{sorted(pres.alphabet)}"
         )
-    generators = [assignment[x] for x in pres.alphabet]
-    if not is_generating_set(target, generators):
+    if not is_generating_set(target, [assignment[x] for x in pres.alphabet]):
         raise ValueError("assignment images do not generate the target monoid")
 
+    target_size = len(target)
     ok, failures = satisfies_relations(assignment, pres)
-    quotient_size = classes_reached = counters = None
-    exceeded, note = False, ""
-    if not ok:
-        verdict = Verdict.REFUTED_RELATIONS
-        note = "some relations fail on the generators; "
+    result = enumerate_quotient(pres, max_classes=max_classes) if ok else None
+    if result is None:
+        verdict, quotient_size, classes_reached = Verdict.REFUTED_RELATIONS, None, None
+    elif isinstance(result, QuotientExceeded):
+        verdict, quotient_size = Verdict.INCONCLUSIVE_BUDGET, None
+        classes_reached = result.classes_reached
+    elif result.size < target_size:
+        # the relations hold and the images generate the target, so the
+        # quotient has at least target_size classes
+        raise AssertionError(f"quotient of {result.size} classes for a target of {target_size}")
     else:
-        result = enumerate_quotient(pres, max_classes=max_classes)
-        counters = result.stats
-        if isinstance(result, QuotientExceeded):
-            exceeded = True
-            classes_reached = result.classes_reached
-            verdict = Verdict.INCONCLUSIVE_BUDGET
-            note = "class budget exhausted before enumeration finished; "
-        else:
-            # the relations hold and the images generate the target, so the
-            # quotient has at least target_size classes
-            if result.size < target_size:
-                raise AssertionError(
-                    f"quotient table of {result.size} classes for a target of {target_size}"
-                )
-            quotient_size = classes_reached = result.size
-            exceeded = result.size > target_size
-            if exceeded:
-                verdict = Verdict.REFUTED_SIZE
-                note = "quotient enumeration finished above the target size; "
-            else:
-                verdict = Verdict.VERIFIED
+        verdict = Verdict.VERIFIED if result.size == target_size else Verdict.REFUTED_SIZE
+        quotient_size = classes_reached = result.size
     return VerificationReport(
         presentation_id=presentation_id,
         target_id=target_id,
         relations_satisfied=ok,
         failing_relations=failures,
         quotient_size=quotient_size,
-        quotient_exceeded=exceeded,
         classes_reached=classes_reached,
         target_size=target_size,
         verdict=verdict,
-        note=note + SOUNDNESS_NOTE,
-        counters=counters,
+        note=_NOTE_PREFIX[verdict] + SOUNDNESS_NOTE,
+        counters=None if result is None else result.stats,
     )

@@ -42,6 +42,9 @@ from typing import Optional
 from .errors import _require_count
 from .presentations import Presentation
 
+DEFAULT_WORD_BUDGET = 2_000_000
+DEFAULT_ROUND_BUDGET = 10_000
+
 
 @dataclass(frozen=True)
 class WordClosureStats:
@@ -65,8 +68,8 @@ class _OverBudget(Exception):
 def word_closure_size(
     pres: Presentation,
     *,
-    max_words: int = 2_000_000,
-    max_rounds: int = 10_000,
+    max_words: int = DEFAULT_WORD_BUDGET,
+    max_rounds: int = DEFAULT_ROUND_BUDGET,
 ) -> Optional[int]:
     """Number of classes of the presented monoid, or None on budget exhaustion."""
     return word_closure(pres, max_words=max_words, max_rounds=max_rounds)[0]
@@ -75,8 +78,8 @@ def word_closure_size(
 def word_closure(
     pres: Presentation,
     *,
-    max_words: int = 2_000_000,
-    max_rounds: int = 10_000,
+    max_words: int = DEFAULT_WORD_BUDGET,
+    max_rounds: int = DEFAULT_ROUND_BUDGET,
 ) -> tuple[Optional[int], WordClosureStats]:
     """Size of the presented monoid (None on budget exhaustion) and run counters."""
     closure = _WordClosure(pres, _require_count("max_words", max_words))

@@ -35,6 +35,7 @@ from starendo import (
     word_closure_size,
     Verdict,
 )
+from starendo.verify import SOUNDNESS_NOTE
 
 
 # a class budget above the peak live count of every run below that completes
@@ -435,6 +436,7 @@ class TestVerifyPresentation:
             end_star_presentation(4),
             enumerate_class(4, EndoClass.END),
             dict(standard_generators(4, EndoClass.END)),
+            max_classes=ENOUGH,
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == report.target_size == 30
@@ -452,10 +454,12 @@ class TestVerifyPresentation:
         weakened = Presentation(
             pres.alphabet, tuple(r for r in pres.relations if r != dropped)
         )
+        # the cap stops this enumeration early; see test_a8_dropped_relation_detected
         report = verify_presentation(
             weakened,
             enumerate_class(4, EndoClass.END),
             dict(standard_generators(4, EndoClass.END)),
+            max_classes=8192,
         )
         assert report.verdict in (Verdict.REFUTED_SIZE, Verdict.INCONCLUSIVE_BUDGET)
 
@@ -464,7 +468,7 @@ class TestVerifyPresentation:
         assignment = dict(standard_generators(4, EndoClass.STRONG_WEAK_END))
         assignment["z"], assignment["z0"] = assignment["z0"], assignment["z"]
         report = verify_presentation(
-            pres, enumerate_class(4, EndoClass.STRONG_WEAK_END), assignment
+            pres, enumerate_class(4, EndoClass.STRONG_WEAK_END), assignment, max_classes=ENOUGH
         )
         assert report.verdict is Verdict.REFUTED_RELATIONS
         assert report.failing_relations
@@ -477,7 +481,7 @@ class TestVerifyPresentation:
             "a0": Transformation((0, 2, 1, 3)),
             "b0": Transformation((0, 2, 3, 1)),
         }
-        report = verify_presentation(pres, aut, assignment)
+        report = verify_presentation(pres, aut, assignment, max_classes=ENOUGH)
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == 6
 
@@ -490,12 +494,41 @@ class TestVerifyPresentation:
             "a0": Transformation((0, 2, 1, 3)),
             "b0": Transformation((0, 2, 3, 1)),
         }
-        report = verify_presentation(pres, enumerate_class(4, EndoClass.AUT), assignment)
+        report = verify_presentation(
+            pres, enumerate_class(4, EndoClass.AUT), assignment, max_classes=ENOUGH
+        )
         assert report.verdict is Verdict.REFUTED_SIZE
         assert report.quotient_size == report.classes_reached == 24
-        assert report.quotient_exceeded and report.target_size == 6
+        assert report.target_size == 6
         assert report.note.startswith("quotient enumeration finished above the target size; ")
         assert report.counters.classes_defined - report.counters.coincidences == 24
+
+    def test_each_verdict_reports_its_size_and_note(self):
+        # (verdict, to_dict()["quotient_size"], note prefix) for one run of each
+        end3 = end_star_presentation(3), enumerate_class(3, EndoClass.END)
+        swapped = dict(standard_generators(3, EndoClass.END))
+        swapped["a0"], swapped["z"] = swapped["z"], swapped["a0"]
+        s4 = Presentation(
+            ("a0", "b0"), [(("a0",) * 2, ()), (("b0",) * 3, ()), (("a0", "b0") * 4, ())]
+        )
+        aut4 = enumerate_class(4, EndoClass.AUT)
+        aut4_gens = {"a0": Transformation((0, 2, 1, 3)), "b0": Transformation((0, 2, 3, 1))}
+        runs = [
+            (*end3, dict(standard_generators(3, EndoClass.END)), ENOUGH,
+             Verdict.VERIFIED, 6, ""),
+            (*end3, swapped, ENOUGH,
+             Verdict.REFUTED_RELATIONS, None, "some relations fail on the generators; "),
+            (s4, aut4, aut4_gens, ENOUGH,
+             Verdict.REFUTED_SIZE, 24, "quotient enumeration finished above the target size; "),
+            (*end3, dict(standard_generators(3, EndoClass.END)), 1,
+             Verdict.INCONCLUSIVE_BUDGET, "exceeded",
+             "class budget exhausted before enumeration finished; "),
+        ]
+        for pres, target, assignment, cap, verdict, size, prefix in runs:
+            report = verify_presentation(pres, target, assignment, max_classes=cap)
+            assert report.verdict is verdict
+            assert report.to_dict()["quotient_size"] == size, verdict
+            assert report.note == prefix + SOUNDNESS_NOTE, verdict
 
     def test_table_below_target_is_an_engine_fault(self, monkeypatch):
         # the relations hold and the images generate END_4, so a finished
@@ -507,6 +540,7 @@ class TestVerifyPresentation:
                 end_star_presentation(4),
                 enumerate_class(4, EndoClass.END),
                 dict(standard_generators(4, EndoClass.END)),
+                max_classes=ENOUGH,
             )
 
     @pytest.mark.parametrize("max_classes", [0, -1, True, 2.5, "7"])
@@ -517,7 +551,8 @@ class TestVerifyPresentation:
         assignment = dict(standard_generators(4, EndoClass.STRONG_WEAK_END))
         assignment["z"], assignment["z0"] = assignment["z0"], assignment["z"]
         target = enumerate_class(4, EndoClass.STRONG_WEAK_END)
-        assert verify_presentation(pres, target, assignment).verdict is Verdict.REFUTED_RELATIONS
+        report = verify_presentation(pres, target, assignment, max_classes=1)
+        assert report.verdict is Verdict.REFUTED_RELATIONS
         with pytest.raises(ValueError, match="max_classes"):
             verify_presentation(pres, target, assignment, max_classes=max_classes)
 
@@ -525,7 +560,9 @@ class TestVerifyPresentation:
         pres = end_star_presentation(4)
         assignment = {x: Transformation((0, 1, 2, 3)) for x in pres.alphabet}
         with pytest.raises(ValueError):
-            verify_presentation(pres, enumerate_class(4, EndoClass.END), assignment)
+            verify_presentation(
+                pres, enumerate_class(4, EndoClass.END), assignment, max_classes=ENOUGH
+            )
 
     def test_wrong_alphabet_is_an_error(self):
         with pytest.raises(ValueError):
@@ -533,6 +570,7 @@ class TestVerifyPresentation:
                 end_star_presentation(4),
                 enumerate_class(4, EndoClass.END),
                 {"a0": Transformation((0, 2, 1, 3))},
+                max_classes=ENOUGH,
             )
 
     def test_representative_words_surject_homomorphically(self):

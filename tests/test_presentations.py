@@ -33,6 +33,23 @@ class TestPresentationType:
         with pytest.raises(ValueError):
             Presentation(("a", "a"), [])
 
+    def test_letter_that_is_not_a_string_rejected(self):
+        # such a letter could not survive the JSON round trip
+        with pytest.raises(ValueError, match="letter 1 is not a string"):
+            Presentation((1, 2), [((1,), (2,))])
+        with pytest.raises(ValueError, match="not in alphabet"):
+            Presentation(("a",), [((["a"],), ())])
+
+    @pytest.mark.parametrize(
+        "relations",
+        [[5], [None], [(5, ())], [("a", "a", "a")], [(("a",), ()), (("a",), None)]],
+        ids=["int", "none", "int-word", "three-words", "second-word-none"],
+    )
+    def test_relation_that_is_not_a_pair_of_words_rejected(self, relations):
+        index = len(relations) - 1
+        with pytest.raises(ValueError, match=f"relation {index}: expected a pair of words"):
+            Presentation(("a",), relations)
+
     def test_relabel(self):
         p = Presentation(("a", "b"), [(("a", "b"), ("b",))])
         q = p.relabel({"a": "x"})

@@ -3,7 +3,22 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from starendo import Transformation, compose, identity, is_idempotent
+from starendo import (
+    EndoClass,
+    Presentation,
+    Transformation,
+    check_relation,
+    classify,
+    compose,
+    enumerate_class,
+    evaluate_word,
+    identity,
+    is_generating_set,
+    is_idempotent,
+    satisfies_relations,
+    star_graph,
+    verify_presentation,
+)
 
 
 def T(*images):
@@ -157,3 +172,43 @@ class TestPredicates:
     def test_is_idempotent(self):
         assert is_idempotent(T(0, 1, 1, 3))
         assert not is_idempotent(T(1, 0, 0, 0))
+
+
+
+# every entry point that takes a map: an image tuple, a target that is not a
+# monoid or a map of another degree is a ValueError, not a stray AttributeError
+_FLIP = Presentation(("a",), [(("a", "a"), ())])
+_S2 = enumerate_class(2, EndoClass.AUT)
+_NOT_A_MAP, _MISMATCH = "not a Transformation", "degree mismatch"
+
+
+@pytest.mark.parametrize(
+    "call, stem",
+    [
+        (lambda: compose((0, 1), (1, 0)), _NOT_A_MAP),
+        (lambda: compose(T(0, 1), (1, 0)), _NOT_A_MAP),
+        (lambda: compose(T(0, 1), T(0, 1, 2)), _MISMATCH),
+        (lambda: is_idempotent((0, 1)), _NOT_A_MAP),
+        (lambda: evaluate_word({"a": (0, 1)}, ("a",)), _NOT_A_MAP),
+        (lambda: evaluate_word({"a": (0, 1)}, ()), _NOT_A_MAP),
+        (lambda: evaluate_word({"a": T(1, 0), "b": T(0, 1, 2)}, ("a", "b")), _MISMATCH),
+        (lambda: check_relation({"a": (1, 0)}, ("a", "a"), ()), _NOT_A_MAP),
+        (lambda: satisfies_relations({"a": (1, 0)}, _FLIP), _NOT_A_MAP),
+        (lambda: is_generating_set(_S2, [(1, 0)]), _NOT_A_MAP),
+        (lambda: is_generating_set(_S2, [T(0, 1, 2)]), _MISMATCH),
+        (lambda: verify_presentation(_FLIP, _S2, {"a": (1, 0)}, max_classes=10), _NOT_A_MAP),
+        (lambda: verify_presentation(_FLIP, [1, 2], {"a": T(1, 0)}, max_classes=10),
+         "not a TransformationMonoid"),
+        (lambda: classify((0, 1, 1), star_graph(3)), _NOT_A_MAP),
+        (lambda: _S2.index_of((1, 0)), _NOT_A_MAP),
+    ],
+    ids=[
+        "compose", "compose-second", "compose-degree", "is_idempotent", "evaluate_word",
+        "evaluate_word-empty", "evaluate_word-degree", "check_relation",
+        "satisfies_relations", "is_generating_set", "is_generating_set-degree",
+        "verify_presentation", "verify_presentation-target", "classify", "index_of",
+    ],
+)
+def test_entry_points_reject_what_is_not_a_map(call, stem):
+    with pytest.raises(ValueError, match=stem):
+        call()
