@@ -12,8 +12,9 @@ table that respects every relation at every class has exactly one class
 per element of the presented monoid, so the final size is exact.
 
 The words traced from a class are compiled once over one prefix trie
-(``_compile_traces``) into one flat segment list per relation, tracing ``u``
-and then ``v[:-1]``, which the enumerator and ``CongruenceTable.check`` each
+(``presentations._compile_traces``, the one compiler, which the word-closure
+oracle runs too) into one flat segment list per relation, tracing ``u`` and
+then ``v[:-1]``, which the enumerator and ``CongruenceTable.check`` each
 walk with one loop.  A word that shares a prefix with an earlier word of the
 same scan resumes from the class that word reached at the end of the shared
 prefix, kept in a slot, and traces only the letters past it.  The HLT
@@ -36,9 +37,7 @@ from functools import partial
 from typing import Optional, Sequence, Union
 
 from .errors import _require_count
-from .presentations import Presentation, Relation, Word
-
-IntWord = tuple[int, ...]
+from .presentations import IntWord, Presentation, Relation, Word, _compile_traces
 
 
 @dataclass(frozen=True)
@@ -129,70 +128,6 @@ class CongruenceTable:
                     raise AssertionError(
                         f"relation fails at class {q}: traces reach {a} and {b}"
                     )
-
-
-def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
-    """Trace programs for relations ``u = v`` over letter indices.
-
-    The words traced from each class are ``u`` and ``v[:-1]`` of every
-    relation, in order; the last letter of ``v`` is left to the caller.
-    The sides swap when ``v`` is empty, and a relation with two empty sides
-    is dropped.  The words go into one prefix trie, and each word resumes
-    from the deepest node that an earlier word reached.
-
-    Returns ``(n_slots, programs)`` with one program
-    ``(segments, a, b, last)`` per relation; slot 0 holds the scanned
-    class.  Each segment ``(s, letters, t)`` starts from the class in slot
-    ``s``, follows ``letters`` and stores the class reached in slot ``t``.
-    The segments trace ``u`` and then ``v[:-1]``, one flat list, and a
-    segment ends at each node that a later word resumes from.  After them
-    slot ``a`` holds the class ``u`` reaches and slot ``b`` the class
-    ``v[:-1]`` reaches.  The last two slots take the word ends that no
-    later word resumes from, one per side, so ``v[:-1]`` cannot overwrite
-    the end of ``u``.
-    """
-    children: list[dict[int, int]] = [{}]
-    resumed = {0}
-    traces = []  # per relation: ([(resume node, [(letter, node reached), ...])] * 2, last)
-    for u, v in relations:
-        if not (u or v):
-            continue
-        # v = () would leave no last letter; tracing the empty side first
-        # defines nothing, so the two sides can swap
-        u, v_head, last = (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
-        sides = []
-        for word in (u, v_head):
-            node = depth = 0
-            while depth < len(word) and word[depth] in children[node]:
-                node = children[node][word[depth]]
-                depth += 1
-            resumed.add(node)
-            start, steps = node, []
-            for x in word[depth:]:
-                children[node][x] = len(children)
-                node = len(children)
-                children.append({})
-                steps.append((x, node))
-            sides.append((start, steps))
-        traces.append((sides, last))
-
-    slot = {node: i for i, node in enumerate(sorted(resumed))}  # the root gets slot 0
-    programs = []
-    for sides, last in traces:
-        segments, ends = [], []
-        for spare, (start, steps) in enumerate(sides, len(slot)):
-            s, letters = slot[start], []
-            for x, node in steps:
-                letters.append(x)
-                if node in slot:
-                    segments.append((s, tuple(letters), slot[node]))
-                    s, letters = slot[node], []
-            if letters:
-                segments.append((s, tuple(letters), spare))
-                s = spare
-            ends.append(s)
-        programs.append((tuple(segments), ends[0], ends[1], last))
-    return len(slot) + 2, tuple(programs)
 
 
 def _find(parent: list[int], c: int) -> int:

@@ -9,30 +9,43 @@ that chains ending in the identity distribute: u = v = 1 stores (u, 1) and
 Builders cover the symmetric group and full/partial transformation monoid
 presentations (the classical Moore / Aizenstat / Popova families) and, on
 top of them, the endomorphism-type monoids of star graphs.
+
+``_compile_traces`` turns relations over letter indices into the trace
+programs that both size engines run: the class-table enumerator and its
+``CongruenceTable.check`` in congruence.py, and the word-closure oracle in
+wordclosure.py, which imports nothing from congruence.py.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import _require_count
 
 Word = tuple[str, ...]
 Relation = tuple[Word, Word]
+IntWord = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Presentation:
     """Alphabet plus relation pairs; words are tuples of ``str`` letter names.
-    ValueError for any other letter, or a relation that is repeated or not a pair of words."""
+    ValueError for an alphabet or a relation list that is not iterable, any
+    other letter, or a relation that is repeated or not a pair of words."""
 
     alphabet: tuple[str, ...]
     relations: tuple[Relation, ...]
 
     def __post_init__(self):
-        alphabet = tuple(self.alphabet)
+        try:
+            alphabet, given = tuple(self.alphabet), tuple(self.relations)
+        except TypeError:
+            raise ValueError(
+                f"expected an iterable alphabet and relation list, got "
+                f"{self.alphabet!r} and {self.relations!r}"
+            ) from None
         for x in alphabet:
             if not isinstance(x, str):
                 raise ValueError(f"letter {x!r} is not a string")
@@ -40,7 +53,7 @@ class Presentation:
             raise ValueError("alphabet has repeated letters")
         letters = set(alphabet)
         relations: dict[Relation, None] = {}  # a set that keeps the given order
-        for i, rel in enumerate(self.relations):
+        for i, rel in enumerate(given):
             try:
                 u, v = map(tuple, rel)
             except (TypeError, ValueError):
@@ -65,6 +78,70 @@ class Presentation:
 
     def __repr__(self) -> str:
         return f"<Presentation |X|={len(self.alphabet)} |R|={len(self.relations)}>"
+
+
+def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
+    """Trace programs for relations ``u = v`` over letter indices.
+
+    The words traced from each class are ``u`` and ``v[:-1]`` of every
+    relation, in order; the last letter of ``v`` is left to the caller.
+    The sides swap when ``v`` is empty, and a relation with two empty sides
+    is dropped.  The words go into one prefix trie, and each word resumes
+    from the deepest node that an earlier word reached.
+
+    Returns ``(n_slots, programs)`` with one program
+    ``(segments, a, b, last)`` per relation; slot 0 holds the scanned
+    class.  Each segment ``(s, letters, t)`` starts from the class in slot
+    ``s``, follows ``letters`` and stores the class reached in slot ``t``.
+    The segments trace ``u`` and then ``v[:-1]``, one flat list, and a
+    segment ends at each node that a later word resumes from.  After them
+    slot ``a`` holds the class ``u`` reaches and slot ``b`` the class
+    ``v[:-1]`` reaches.  The last two slots take the word ends that no
+    later word resumes from, one per side, so ``v[:-1]`` cannot overwrite
+    the end of ``u``.
+    """
+    children: list[dict[int, int]] = [{}]
+    resumed = {0}
+    traces = []  # per relation: ([(resume node, [(letter, node reached), ...])] * 2, last)
+    for u, v in relations:
+        if not (u or v):
+            continue
+        # v = () would leave no last letter; tracing the empty side first
+        # defines nothing, so the two sides can swap
+        u, v_head, last = (u, v[:-1], v[-1]) if v else (v, u[:-1], u[-1])
+        sides = []
+        for word in (u, v_head):
+            node = depth = 0
+            while depth < len(word) and word[depth] in children[node]:
+                node = children[node][word[depth]]
+                depth += 1
+            resumed.add(node)
+            start, steps = node, []
+            for x in word[depth:]:
+                children[node][x] = len(children)
+                node = len(children)
+                children.append({})
+                steps.append((x, node))
+            sides.append((start, steps))
+        traces.append((sides, last))
+
+    slot = {node: i for i, node in enumerate(sorted(resumed))}  # the root gets slot 0
+    programs = []
+    for sides, last in traces:
+        segments, ends = [], []
+        for spare, (start, steps) in enumerate(sides, len(slot)):
+            s, letters = slot[start], []
+            for x, node in steps:
+                letters.append(x)
+                if node in slot:
+                    segments.append((s, tuple(letters), slot[node]))
+                    s, letters = slot[node], []
+            if letters:
+                segments.append((s, tuple(letters), spare))
+                s = spare
+            ends.append(s)
+        programs.append((tuple(segments), ends[0], ends[1], last))
+    return len(slot) + 2, tuple(programs)
 
 
 def _chain(*words: Word) -> list[Relation]:

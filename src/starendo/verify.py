@@ -17,7 +17,7 @@ from .congruence import QuotientExceeded, QuotientStats, enumerate_quotient
 from .errors import _require_count
 from .monoid import TransformationMonoid, check_relation, is_generating_set
 from .presentations import Presentation, Relation
-from .transform import Transformation
+from .transform import Transformation, _require_map
 
 SOUNDNESS_NOTE = (
     "generators satisfying every relation induce a surjection from the presented "
@@ -77,10 +77,18 @@ class VerificationReport:
 def satisfies_relations(
     assignment: Mapping[str, Transformation], pres: Presentation
 ) -> tuple[bool, tuple[Relation, ...]]:
-    """Check every relation pointwise; return (all hold, failing relations)."""
+    """Check every relation pointwise; return (all hold, failing relations).
+
+    Raises ValueError when a letter of the alphabet has no assigned value, or
+    the assigned values are not all ``Transformation``s of one degree,
+    whichever relations there are.
+    """
     missing = [x for x in pres.alphabet if x not in assignment]
     if missing:
         raise ValueError(f"letters without assigned transformations: {missing}")
+    degree = None
+    for value in assignment.values():
+        degree = _require_map(value, degree).degree
     failures = tuple(
         (u, v) for u, v in pres.relations if not check_relation(assignment, u, v)
     )

@@ -1,15 +1,17 @@
 """Word-level union-find oracle for sizing a finitely presented monoid.
 
-Deliberately independent of the class-table enumerator in congruence.py:
-this one works on literal words.  Every registered word is a node of a
-word trie, an int id; registering a word registers all its prefixes, so
-the trie is prefix-closed and ``s + u`` is a walk of child links from the
-node of ``s``.  Nodes are merged by union-find, and the older node (the
-smaller id) stays the root, so the empty word, node 0, is always a root.  A
-per-class signature (``sig[root*k + x]``, a node in the class of the root's
-words followed by letter x) propagates merges to right extensions: when two
-classes merge and both have a registered extension by the same letter,
-those extensions merge too.
+Deliberately independent of the class-table enumerator in congruence.py,
+from which it imports nothing: this one works on literal words.  Every
+registered word is a node of a word trie, an int id; registering a word
+registers all its prefixes, so the trie is prefix-closed and ``s + u`` is a
+walk of child links from the node of ``s``.  Nodes are merged by
+union-find, and the older node (the smaller id) stays the root, so the
+empty word, node 0, is always a root.  A per-class signature
+(``sig[root*k + x]``, a node in the class of the root's words followed by
+letter x) propagates merges to right extensions: when two classes merge
+and both have a registered extension by the same letter, those extensions
+merge too.  A newly registered word whose class already has such an
+extension joins that extension's class at once.
 
 The oracle starts from the empty word alone and repeats one relation scan,
 as in the HLT scan of coset enumeration (Sims, *Computation with Finitely
@@ -17,21 +19,32 @@ Presented Groups*, ch. 5).  The classes are read off as a transition table
 (state = root of a class, state s on letter x goes to the class of the word
 of s followed by x), and the states reachable from the class of the empty
 word are found; a missing step of that search registers the word for the
-next scan.  Then every relation (u, v) is traced from every state.  A
-missing step of a trace registers the word and the trace carries on from
-its class; if the two sides end in different classes, the classes merge,
-which is the rewrite u -> v applied at the end of the state's word.  A
-state that an earlier merge of the same scan turned into a non-root is
-skipped.
+next scan.  Then every relation u != v is traced from every state, by the
+trace programs of ``presentations._compile_traces``, the compiler the
+enumerator uses too: a segment resumes from the class in its slot,
+resolved to its root, and follows the child links of the root's word.  A
+missing step registers the word and the trace carries on from its class;
+side v's last letter is one more such step.  If the two sides end in
+different classes, the classes merge, which is the rewrite u -> v applied
+at the end of the state's word.  A state that an earlier merge of the same
+scan turned into a non-root is skipped.
 
 The certificate: a scan that registers no word and merges no class has
 found the table complete, reachable from the class of the empty word, and
 satisfying every relation at every state, so it returns its state count.
-Merges only ever join words provably congruent, and a table passing this
-certificate has exactly one state per element of the presented monoid, so
-the answer is exact.  Registering more than ``max_words`` words or scanning
-more than ``max_rounds`` times returns None, never a guess; either budget
-must be an ``int`` of at least 1, or the run raises ValueError.
+Resuming does not weaken it.  In such a scan no root changes, so the root
+of a resumed slot is the class that tracing the shared prefix from the
+state reaches again, and every trace ends where a letter-by-letter trace
+of the whole side would.  In any scan, the root word of a resumed class is
+congruent to the state's word followed by the shared prefix, so merges
+only ever join words provably congruent; a table passing the certificate
+has exactly one state per element of the presented monoid, and the answer
+is exact.  Only a scan that merges can take another path than
+letter-by-letter tracing, which walks a shared prefix again after a merge
+and so can register other words.
+Registering more than ``max_words`` words or scanning more than
+``max_rounds`` times returns None, never a guess; either budget must be an
+``int`` of at least 1, or the run raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import _require_count
-from .presentations import Presentation
+from .presentations import Presentation, _compile_traces
 
 DEFAULT_WORD_BUDGET = 2_000_000
 DEFAULT_ROUND_BUDGET = 10_000
@@ -98,14 +111,16 @@ class _WordClosure:
         k = self.k = len(pres.alphabet)
         self.max_words = max_words
         index = {x: i for i, x in enumerate(pres.alphabet)}
-        rels = [
+        n_slots, self.programs = _compile_traces([
             (tuple(index[x] for x in u), tuple(index[x] for x in v))
             for u, v in pres.relations
-        ]
-        self.rels = [(u, v) for u, v in rels if u != v]
-        self.child: list[int] = []  # node*k + x -> node of word + letter x, or -1
-        self.parent: list[int] = []  # union-find over nodes
-        self.sig: list[int] = []  # root*k + x -> a node in the class of root's words + x
+            if u != v
+        ])
+        self.slots = [0] * n_slots
+        # the trie starts as the empty word, node 0
+        self.child = [-1] * k  # node*k + x -> node of word + letter x, or -1
+        self.parent = [0]  # union-find over nodes
+        self.sig = [-1] * k  # root*k + x -> a node in the class of root's words + x
         self.blank = [-1] * k
         self.merges = 0
         self.rounds = 0
@@ -144,74 +159,89 @@ class _WordClosure:
                     else:
                         sig[bx + i] = t
 
-    def new_node(self) -> int:
+    def extend(self, r: int, x: int) -> int:
+        """Register the word of root ``r`` followed by letter ``x``; return its class.
+
+        When the class of ``r`` already has an ``x`` extension, the new node
+        joins that extension's class: it is the newest node and has no
+        extensions of its own, so the merge only points it at that root.
+        """
         n = len(self.parent)
         if n >= self.max_words:
             raise _OverBudget
-        self.parent.append(n)
+        i, sig = r * self.k + x, self.sig
+        self.child[i] = n
         self.child.extend(self.blank)
-        self.sig.extend(self.blank)
-        return n
-
-    def extend(self, p: int, x: int) -> int:
-        """Register the word of node p followed by letter x; return its node."""
-        k, sig = self.k, self.sig
-        n = self.new_node()
-        self.child[p * k + x] = n
-        r = p if self.parent[p] == p else self.find(p)
-        t = sig[r * k + x]
-        if t >= 0:
-            self.union(n, t)
-        else:
-            sig[r * k + x] = n
-        return n
-
-    def trace(self, state: int, letters: tuple[int, ...]) -> int:
-        """Class reached from ``state`` along ``letters``, registering missing steps."""
-        child, parent, k = self.child, self.parent, self.k
-        for x in letters:
-            n = child[state * k + x]
-            if n < 0:
-                n = self.extend(state, x)
-            state = parent[n]
-            if state != n and parent[state] != state:
-                state = self.find(n)
-        return state
+        sig.extend(self.blank)
+        t = sig[i]
+        if t < 0:
+            sig[i] = n
+            self.parent.append(n)
+            return n
+        t = self.find(t)
+        self.parent.append(t)
+        self.merges += 1
+        return t
 
     def certify(self) -> Optional[int]:
         """The state count if the current table passes the certificate, else None."""
         child, parent, k = self.child, self.parent, self.k
-        words_before, merges_before = len(self.parent), self.merges
-        root0 = self.find(0)
+        find, extend = self.find, self.extend
+        words_before, merges_before = len(parent), self.merges
+        root0 = find(0)
         seen = {root0}
         states = [root0]
-        for s in states:
+        for q in states:
             for x in range(k):
-                n = child[s * k + x]
+                n = child[q * k + x]
                 if n < 0:
-                    self.extend(s, x)  # registered for later scans, not followed now
+                    extend(q, x)  # registered for later scans, not followed now
                     continue
                 if parent[n] != n:
-                    n = self.find(n)
+                    n = find(n)
                 if n not in seen:
                     seen.add(n)
                     states.append(n)
-        trace = self.trace
-        for s in states:
-            if parent[s] != s:
+        slots = self.slots
+        for q in states:
+            if parent[q] != q:
                 continue  # merged earlier in this scan, which voids the certificate
-            for u, v in self.rels:
-                a = trace(s, u)
-                b = trace(s, v)
+            slots[0] = q
+            for segments, a, b, last in self.programs:
+                for s, letters, t in segments:
+                    c = slots[s]
+                    if parent[c] != c:
+                        c = find(c)  # merged since it was stored: resume from the root
+                    for x in letters:
+                        n = child[c * k + x]
+                        if n < 0:
+                            c = extend(c, x)
+                        else:
+                            c = parent[n]
+                            if c != n and parent[c] != c:
+                                c = find(n)
+                    slots[t] = c
+                a = slots[a]
+                if parent[a] != a:
+                    a = find(a)
+                b = slots[b]
+                if parent[b] != b:
+                    b = find(b)
+                n = child[b * k + last]  # side v's last letter, one more step
+                if n < 0:
+                    b = extend(b, last)
+                else:
+                    b = parent[n]
+                    if b != n and parent[b] != b:
+                        b = find(n)
                 if a != b:
                     self.union(a, b)
-        if len(self.parent) == words_before and self.merges == merges_before:
+        if len(parent) == words_before and self.merges == merges_before:
             return len(states)
         return None
 
     def run(self, max_rounds: int) -> Optional[int]:
         """Scan from the empty word until a scan certifies; None past ``max_rounds``."""
-        self.new_node()
         while True:
             size = self.certify()
             self.rounds += 1

@@ -221,6 +221,15 @@ def test_a9_engines_agree():
         assert oracle == table.size, (pres, oracle, table.size)
 
 
+@criterion("A9 engine cross-check at n = 6")
+def test_a9_engines_agree_at_n6():
+    for builder, size in ((swend_star_presentation, 3136), (wend_star_presentation, 7936)):
+        pres = builder(6)
+        table = enumerate_quotient(pres, max_classes=ENOUGH)
+        assert isinstance(table, CongruenceTable) and table.size == size
+        assert word_closure_size(pres) == size
+
+
 @criterion("A10 determinism")
 def test_a10_determinism(capsys):
     def run(*argv):

@@ -429,6 +429,19 @@ class TestSatisfiesRelations:
         with pytest.raises(ValueError):
             satisfies_relations({"a0": Transformation((0, 2, 1))}, end_star_presentation(3))
 
+    def test_value_that_is_not_a_transformation(self):
+        # rejected before any relation is evaluated, so also with none to evaluate
+        for relations in ([], [(("a", "a"), ())]):
+            with pytest.raises(ValueError, match="not a Transformation"):
+                satisfies_relations({"a": (0, 1)}, Presentation(("a",), relations))
+
+    def test_values_of_two_degrees(self):
+        assignment = {"a": Transformation((1, 0)), "b": Transformation((0, 0, 1))}
+        # no relation uses b, so evaluating the relations alone would pass
+        for relations in ([], [(("a", "a"), ())]):
+            with pytest.raises(ValueError, match="degree mismatch"):
+                satisfies_relations(assignment, Presentation(("a", "b"), relations))
+
 
 class TestVerifyPresentation:
     def test_end_n4_verified(self):

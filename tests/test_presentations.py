@@ -50,6 +50,11 @@ class TestPresentationType:
         with pytest.raises(ValueError, match=f"relation {index}: expected a pair of words"):
             Presentation(("a",), relations)
 
+    @pytest.mark.parametrize("alphabet,relations", [(5, []), (("a",), 5), (None, [])])
+    def test_alphabet_or_relation_list_that_is_not_iterable_rejected(self, alphabet, relations):
+        with pytest.raises(ValueError, match="expected an iterable alphabet and relation list"):
+            Presentation(alphabet, relations)
+
     def test_relabel(self):
         p = Presentation(("a", "b"), [(("a", "b"), ("b",))])
         q = p.relabel({"a": "x"})

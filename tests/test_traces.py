@@ -1,5 +1,5 @@
-"""The compiled relation traces that the quotient enumerator and
-``CongruenceTable.check`` share.
+"""The compiled relation traces that the quotient enumerator,
+``CongruenceTable.check`` and the word-closure oracle share.
 
 ``expand`` runs a compiled program on words instead of classes: a slot
 holds the word traced so far, so the programs must spell out every traced
@@ -18,7 +18,7 @@ from starendo import (
     enumerate_quotient,
     wend_star_presentation,
 )
-from starendo.congruence import _compile_traces
+from starendo.presentations import _compile_traces
 
 
 def traced_words(relations):
@@ -70,6 +70,10 @@ class TestCompiledTraces:
         prefixes = {w[:i] for u, v_head, _ in traced_words(relations)
                     for w in (u, v_head) for i in range(1, len(w) + 1)}
         assert letters_traced(programs) == len(prefixes)
+        # the oracle's use: the head of side v plus the last letter is all of
+        # v, so each program spells out both sides of its relation in order
+        sides = [(a, b + (last,)) for a, b, last in expand(n_slots, programs)]
+        assert sides == [(u, v) if v else (v, u) for u, v in relations if u or v]
 
     def test_shared_prefixes_empty_sides_and_repeats(self):
         relations = [
