@@ -211,16 +211,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _parse_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first :func:`main` call.
@@ -265,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="minimum generating set size, one J-class at a time")
     add_common(p, all_classes)
-    p.add_argument("--max-k", type=_parse_count, required=True)
+    p.add_argument("--max-k", type=int, required=True)
     p.add_argument("--budget-seconds", type=float, default=DEFAULT_TIME_BUDGET_S)
     p.set_defaults(handler=cmd_rank)
 

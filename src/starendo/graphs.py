@@ -68,17 +68,23 @@ class EndoClass(enum.Enum):
 class SimpleGraph:
     """An undirected graph without loops or multiple edges.
 
-    Edges are stored as sorted vertex pairs; endpoints must be in range.
+    Edges are stored as sorted vertex pairs; each edge must be a pair of
+    ``int`` (not ``bool``) vertices in range, or ValueError.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         _require_count("vertex count", vertex_count)
         norm = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
+            for w in (u, v):
+                if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < vertex_count:
+                    raise ValueError(f"edge {edge!r}: vertex {w!r} is not an int in range")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
             norm.add((u, v) if u < v else (v, u))
         self.vertex_count = vertex_count
         self.edges = frozenset(norm)

@@ -444,11 +444,13 @@ def evaluate_word(
     """Evaluate a word left-to-right under a letter assignment.
 
     The empty word evaluates to the identity; its degree is taken from the
-    assignment unless given explicitly.
+    assignment unless given explicitly, as an ``int`` of at least 1.
     """
-    if degree is None:
-        if not assignment:
-            raise ValueError("cannot infer degree from an empty assignment")
+    if degree is not None:
+        _require_count("degree", degree)
+    elif not assignment:
+        raise ValueError("cannot infer degree from an empty assignment")
+    else:
         degree = _require_map(next(iter(assignment.values()))).degree
     result = tuple(range(degree))
     for letter in word:

@@ -33,7 +33,8 @@ IntWord = tuple[int, ...]
 class Presentation:
     """Alphabet plus relation pairs; words are tuples of ``str`` letter names.
     ValueError for an alphabet or a relation list that is not iterable, any
-    other letter, or a relation that is repeated or not a pair of words."""
+    other letter, or a relation that is repeated or not a pair of words (a
+    ``str`` is neither a relation nor a word)."""
 
     alphabet: tuple[str, ...]
     relations: tuple[Relation, ...]
@@ -55,7 +56,10 @@ class Presentation:
         relations: dict[Relation, None] = {}  # a set that keeps the given order
         for i, rel in enumerate(given):
             try:
-                u, v = map(tuple, rel)
+                u, v = rel
+                if isinstance(rel, str) or isinstance(u, str) or isinstance(v, str):
+                    raise TypeError
+                u, v = tuple(u), tuple(v)
             except (TypeError, ValueError):
                 raise ValueError(f"relation {i}: expected a pair of words, got {rel!r}") from None
             for x in u + v:

@@ -2,32 +2,32 @@
 
 Deliberately independent of the class-table enumerator in congruence.py,
 from which it imports nothing: this one works on literal words.  Every
-registered word is a node of a word trie, an int id; registering a word
-registers all its prefixes, so the trie is prefix-closed and ``s + u`` is a
-walk of child links from the node of ``s``.  Nodes are merged by
-union-find, and the older node (the smaller id) stays the root, so the
-empty word, node 0, is always a root.  A per-class signature
-(``sig[root*k + x]``, a node in the class of the root's words followed by
-letter x) propagates merges to right extensions: when two classes merge
-and both have a registered extension by the same letter, those extensions
-merge too.  A newly registered word whose class already has such an
-extension joins that extension's class at once.
+registered word is a node, an int id: the empty word is node 0, and every
+other node is the word of a class's root followed by one letter, so the
+registered words are prefix-closed.  Nodes are merged by union-find, and
+the older node (the smaller id) stays the root, so the empty word is always
+a root.  The one table is a per-class signature (``sig[root*k + x]``, a
+node in the class of the root's words followed by letter x); a word is
+registered only for a class with no x extension yet, and that node becomes
+the extension.  Merges propagate to right extensions: when two classes
+merge and both have an extension by the same letter, those extensions merge
+too.
 
 The oracle starts from the empty word alone and repeats one relation scan,
 as in the HLT scan of coset enumeration (Sims, *Computation with Finitely
 Presented Groups*, ch. 5).  The classes are read off as a transition table
-(state = root of a class, state s on letter x goes to the class of the word
-of s followed by x), and the states reachable from the class of the empty
+(state = root of a class, state s on letter x goes to the class of
+``sig[s*k + x]``), and the states reachable from the class of the empty
 word are found; a missing step of that search registers the word for the
 next scan.  Then every relation u != v is traced from every state, by the
 trace programs of ``presentations._compile_traces``, the compiler the
 enumerator uses too: a segment resumes from the class in its slot,
-resolved to its root, and follows the child links of the root's word.  A
-missing step registers the word and the trace carries on from its class;
-side v's last letter is one more such step.  If the two sides end in
-different classes, the classes merge, which is the rewrite u -> v applied
-at the end of the state's word.  A state that an earlier merge of the same
-scan turned into a non-root is skipped.
+resolved to its root, and steps through the signature table.  A missing
+step registers the word and the trace carries on from its class; side v's
+last letter is one more such step.  If the two sides end in different
+classes, the classes merge, which is the rewrite u -> v applied at the end
+of the state's word.  A state that an earlier merge of the same scan turned
+into a non-root is skipped.
 
 The certificate: a scan that registers no word and merges no class has
 found the table complete, reachable from the class of the empty word, and
@@ -63,7 +63,7 @@ DEFAULT_ROUND_BUDGET = 10_000
 class WordClosureStats:
     """Counters of one word-closure run.
 
-    ``words_registered`` counts the trie's nodes (the empty word included),
+    ``words_registered`` counts the registered words (the empty word included),
     ``merges`` how many classes union-find joined into others, and
     ``certify_rounds`` how many relation scans finished.  A certified run has
     ``words_registered - merges`` classes, one per element.
@@ -105,7 +105,7 @@ def word_closure(
 
 
 class _WordClosure:
-    """The word trie, its union-find and the relation scan of one run."""
+    """The registered words, their union-find and the relation scan of one run."""
 
     def __init__(self, pres: Presentation, max_words: int):
         k = self.k = len(pres.alphabet)
@@ -117,9 +117,7 @@ class _WordClosure:
             if u != v
         ])
         self.slots = [0] * n_slots
-        # the trie starts as the empty word, node 0
-        self.child = [-1] * k  # node*k + x -> node of word + letter x, or -1
-        self.parent = [0]  # union-find over nodes
+        self.parent = [0]  # union-find over nodes; node 0 is the empty word
         self.sig = [-1] * k  # root*k + x -> a node in the class of root's words + x
         self.blank = [-1] * k
         self.merges = 0
@@ -160,32 +158,21 @@ class _WordClosure:
                         sig[bx + i] = t
 
     def extend(self, r: int, x: int) -> int:
-        """Register the word of root ``r`` followed by letter ``x``; return its class.
+        """Register root ``r``'s word followed by ``x``; return the new node, a root.
 
-        When the class of ``r`` already has an ``x`` extension, the new node
-        joins that extension's class: it is the newest node and has no
-        extensions of its own, so the merge only points it at that root.
+        Called only for a class with no ``x`` extension yet: the node becomes it.
         """
         n = len(self.parent)
         if n >= self.max_words:
             raise _OverBudget
-        i, sig = r * self.k + x, self.sig
-        self.child[i] = n
-        self.child.extend(self.blank)
-        sig.extend(self.blank)
-        t = sig[i]
-        if t < 0:
-            sig[i] = n
-            self.parent.append(n)
-            return n
-        t = self.find(t)
-        self.parent.append(t)
-        self.merges += 1
-        return t
+        self.sig[r * self.k + x] = n
+        self.sig.extend(self.blank)
+        self.parent.append(n)
+        return n
 
     def certify(self) -> Optional[int]:
         """The state count if the current table passes the certificate, else None."""
-        child, parent, k = self.child, self.parent, self.k
+        sig, parent, k = self.sig, self.parent, self.k
         find, extend = self.find, self.extend
         words_before, merges_before = len(parent), self.merges
         root0 = find(0)
@@ -193,7 +180,7 @@ class _WordClosure:
         states = [root0]
         for q in states:
             for x in range(k):
-                n = child[q * k + x]
+                n = sig[q * k + x]
                 if n < 0:
                     extend(q, x)  # registered for later scans, not followed now
                     continue
@@ -213,7 +200,7 @@ class _WordClosure:
                     if parent[c] != c:
                         c = find(c)  # merged since it was stored: resume from the root
                     for x in letters:
-                        n = child[c * k + x]
+                        n = sig[c * k + x]
                         if n < 0:
                             c = extend(c, x)
                         else:
@@ -227,7 +214,7 @@ class _WordClosure:
                 b = slots[b]
                 if parent[b] != b:
                     b = find(b)
-                n = child[b * k + last]  # side v's last letter, one more step
+                n = sig[b * k + last]  # side v's last letter, one more step
                 if n < 0:
                     b = extend(b, last)
                 else:

@@ -227,8 +227,16 @@ class TestCensus:
         assert text_path.read_text().startswith("n,class,formula,enumerated,counted,match\n")
 
     def test_bad_range(self, capsys):
-        code, _, _ = run(capsys, "census", "--range", "5..3")
-        assert code == 2
+        for text in ("5..3", "3..x", "x", "0..2"):
+            code, out, _ = run(capsys, "census", "--range", text)
+            assert code == 2 and out == "", text
+
+    def test_one_degree_without_dots(self, capsys):
+        code, out, _ = run(capsys, "census", "--range", "5")
+        assert code == 0
+        _, dotted, _ = run(capsys, "census", "--range", "5..5")
+        assert out == dotted
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["5"] * 4
 
     def test_csv_unchanged(self, capsys):
         code, out, _ = run(capsys, "census", "--range", "1..7")
@@ -363,6 +371,11 @@ class TestRank:
                              "--budget-seconds", budget)
         assert code == 2
         assert out == "" and "time budget" in err
+
+    def test_max_k_that_is_not_an_integer_is_usage_error(self, capsys):
+        for text in ("abc", "2.5", ""):
+            code, out, _ = run(capsys, "rank", "--n", "3", "--class", "end", "--max-k", text)
+            assert code == 2 and out == "", text
 
     def test_negative_max_k_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "rank", "--n", "3", "--class", "end", "--max-k", "-4")

@@ -62,6 +62,14 @@ class TestGraphs:
         with pytest.raises(ValueError):
             SimpleGraph(3, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1.5), (True, 2), (0, False), (0, 1, 2), (0,), 5, None, "01", (0, -1), (0, "1")],
+    )
+    def test_edge_that_is_not_a_pair_of_vertices_in_range(self, edge):
+        with pytest.raises(ValueError, match="edge"):
+            SimpleGraph(3, [(0, 1), edge])
+
     def test_edge_normalization(self):
         g = SimpleGraph(3, [(2, 0), (0, 2)])
         assert g.edges == {(0, 2)}

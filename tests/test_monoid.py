@@ -202,6 +202,10 @@ class TestFromElements:
         assert len(m) == 1
         assert m.witness_words == ((),)
 
+    def test_empty_element_set_rejected(self):
+        with pytest.raises(ValueError, match="element set is empty"):
+            TransformationMonoid.from_elements([], [])
+
     def test_rejects_degree_zero(self):
         # the public constructor rejects Transformation([]); so does the package
         for elems in ([()], [b""]):
@@ -594,6 +598,16 @@ class TestWords:
 
     def test_empty_word_is_identity(self):
         assert evaluate_word({"a": Transformation((1, 0))}, ()) == identity(2)
+        assert evaluate_word({}, (), 3) == identity(3)
+        with pytest.raises(ValueError, match="cannot infer degree"):
+            evaluate_word({}, ())
+
+    @pytest.mark.parametrize("degree", [2.5, True, 0, -1, "2"])
+    def test_explicit_degree_is_a_count(self, degree):
+        with pytest.raises(ValueError, match="invalid degree"):
+            evaluate_word({}, (), degree)
+        with pytest.raises(ValueError, match="invalid degree"):
+            evaluate_word({"a": identity(2)}, ("a",), degree)
 
 
 class TestDump:

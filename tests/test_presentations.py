@@ -42,8 +42,10 @@ class TestPresentationType:
 
     @pytest.mark.parametrize(
         "relations",
-        [[5], [None], [(5, ())], [("a", "a", "a")], [(("a",), ()), (("a",), None)]],
-        ids=["int", "none", "int-word", "three-words", "second-word-none"],
+        [[5], [None], [(5, ())], [("a", "a", "a")], [(("a",), ()), (("a",), None)],
+         ["aa"], [("a", ())]],
+        ids=["int", "none", "int-word", "three-words", "second-word-none",
+             "str-relation", "str-word"],
     )
     def test_relation_that_is_not_a_pair_of_words_rejected(self, relations):
         index = len(relations) - 1

@@ -1,11 +1,12 @@
-"""The word-closure oracle on its integer word trie.
+"""The word-closure oracle on integer word ids and one signature table.
 
 ``_reference_word_closure_size`` is the string-keyed implementation the
-trie replaced, kept verbatim: words are dict keys, classes carry dict
-signatures, and a relation trace registers the first missing word and gives
-up.  The trie engine only repeats the relation scan, with no breadth-first
-discovery and no descending rewrites, and finishes every trace, so its
-trajectory differs, but every certified size must be the same.
+integer engine replaced, kept verbatim: words are dict keys, classes carry
+dict signatures, and a relation trace registers the first missing word and
+gives up.  The integer engine only repeats the relation scan, with no
+breadth-first discovery and no descending rewrites, finishes every trace,
+and registers a word only as a class's missing extension, so its trajectory
+differs, but every certified size must be the same.
 """
 
 import ast
@@ -268,6 +269,18 @@ class _RecordingClosure(wordclosure._WordClosure):
         return size
 
 
+class _ExtendRecordingClosure(wordclosure._WordClosure):
+    """Records the signature entry each ``extend(r, x)`` call finds."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.extensions = []
+
+    def extend(self, r, x):
+        self.extensions.append(self.sig[r * self.k + x])
+        return super().extend(r, x)
+
+
 class TestAgreesWithReference:
     @pytest.mark.parametrize("name", list(CASES))
     def test_named_presentations(self, name):
@@ -298,13 +311,13 @@ class TestCounters:
     def test_end5_literal_stats(self):
         assert word_closure(end_star_presentation(5)) == (
             260,
-            WordClosureStats(words_registered=20675, merges=20415, certify_rounds=5),
+            WordClosureStats(words_registered=21220, merges=20960, certify_rounds=5),
         )
 
     def test_wend5_literal_stats(self):
         assert word_closure(wend_star_presentation(5)) == (
             689,
-            WordClosureStats(words_registered=76287, merges=75598, certify_rounds=6),
+            WordClosureStats(words_registered=76236, merges=75547, certify_rounds=6),
         )
 
 
@@ -320,6 +333,15 @@ class TestCertificate:
             assert scan_size is None and after != before
         before, after, scan_size = closure.scans[-1]
         assert scan_size == size and after == before
+
+    @pytest.mark.parametrize("name", ["end4", "wend4", "T4", "PT3"])
+    def test_a_word_is_registered_only_as_a_missing_extension(self, name):
+        # The signature table is the only table: a class's x extension is
+        # registered once, and a registered word never joins a class at once.
+        builder, n = CASES[name]
+        closure = _ExtendRecordingClosure(builder(n), 2_000_000)
+        assert closure.run(10_000) == word_closure_size(builder(n))
+        assert closure.extensions and all(t < 0 for t in closure.extensions)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_free_monoid_never_certifies(self, k):
