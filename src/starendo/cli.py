@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _require_count
 from .graphs import (
     MAX_SCAN_DEGREE,
     EndoClass,
@@ -151,6 +151,7 @@ def cmd_census(args) -> tuple[int, dict, str]:
 
 
 def cmd_rank(args) -> tuple[int, dict, str]:
+    _require_count("--max-k", args.max_k, 0)  # before the class scan, not after it
     target = enumerate_class(args.n, EndoClass(args.cls))
     try:
         rank = rank_exact(target, args.max_k, time_budget_s=args.budget_seconds)

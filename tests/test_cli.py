@@ -382,6 +382,15 @@ class TestRank:
         assert code == 2
         assert out == ""
 
+    def test_negative_max_k_rejected_before_the_class_scan(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the class scan ran")
+
+        monkeypatch.setattr(cli, "enumerate_class", refuse)
+        code, out, err = run(capsys, "rank", "--n", "8", "--class", "end", "--max-k", "-1")
+        assert code == 2 and out == ""
+        assert "--max-k" in err
+
 
 class TestOtherCommands:
     def test_dump_presentation_parses_back(self, capsys):

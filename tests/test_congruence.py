@@ -178,6 +178,19 @@ def without_zz(n):
     return Presentation(pres.alphabet, kept)
 
 
+def drawn_presentations(min_letters, max_letters):
+    """Presentations on ``min_letters..max_letters`` letters with 1-5 distinct
+    relations between words of up to 4 letters."""
+
+    def over(k):
+        alphabet = tuple("abcdefg"[:k])
+        word = st.lists(st.sampled_from(alphabet), max_size=4).map(tuple)
+        relations = st.lists(st.tuples(word, word), min_size=1, max_size=5, unique=True)
+        return relations.map(lambda rels: Presentation(alphabet, rels))
+
+    return st.integers(min_letters, max_letters).flatmap(over)
+
+
 STAR_SIZES = {
     "end": {3: 6, 4: 30, 5: 260, 6: 3130},
     "swend": {3: 9, 4: 34, 5: 265, 6: 3136},
@@ -188,8 +201,8 @@ STAR_BUILDERS = {
     "swend": swend_star_presentation,
     "wend": wend_star_presentation,
 }
-# (classes_defined, peak_live, coincidences) of the flat-table enumerator;
-# the peak/final ratios are the ones the cap comment in congruence.py cites
+# (classes_defined, peak_live, coincidences) of the flat-table enumerator:
+# these literals pin the HLT counters at n = 6
 STAR_STATS_N6 = {
     "end": QuotientStats(174602, 55128, 171472),
     "swend": QuotientStats(181453, 55130, 178317),
@@ -265,6 +278,12 @@ class TestTrajectoryMatchesReference:
         )
         assert_same_trajectory(pres, max_classes=cap)
 
+    # the coincidence routine is written out per alphabet size; these sizes
+    # meet the plain loop here and nowhere else
+    @given(drawn_presentations(4, 7), st.integers(1, 400))
+    def test_drawn_presentations_on_larger_alphabets(self, pres, cap):
+        assert_same_trajectory(pres, max_classes=cap)
+
 
 class TestEnumerateQuotient:
     def test_order_two_group(self):
@@ -311,6 +330,10 @@ class TestEnumerateQuotient:
         for start in (99, table.size, -1, True, False):
             with pytest.raises(ValueError, match=f"start {start} "):
                 table.trace((letter,), start)
+        # a str is not a word, even when its characters are letters
+        for word in ("z", letter):
+            with pytest.raises(ValueError, match="is a str"):
+                table.trace(word)
         last = table.size - 1
         assert table.trace((letter,), last) == table.right_mult[last][0]
 
@@ -323,6 +346,9 @@ class TestEnumerateQuotient:
                 table.check(list(pres.relations) + [relation])
         for relation in (((letter,),), ((), (), ()), "ab", None):
             with pytest.raises(ValueError, match="not a pair of words"):
+                table.check([relation])
+        for relation in ((("z",), "z"), ("z", ("z",)), ((letter,), letter)):
+            with pytest.raises(ValueError, match="is a str"):
                 table.check([relation])
         table.check(pres.relations)
 
