@@ -443,6 +443,4 @@ def is_regular_monoid(monoid: TransformationMonoid) -> bool:
     consists of regular elements or holds no regular element at all.
     The idempotents are tested on the monoid's stored images.
     """
-    return all(
-        any(map(monoid._is_idempotent, members)) for members in monoid._j_classes().classes
-    )
+    return all(any(map(monoid._is_idempotent, members)) for members in monoid._j_classes())

@@ -29,9 +29,9 @@ import operator
 import time
 from array import array
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BudgetExceededError, _require_count
+from .errors import BudgetExceededError, NotGeneratingError, _require_count, _require_seconds
 from .transform import Transformation, _compose_images, _require_map, _trusted
 
 Word = tuple[str, ...]
@@ -121,17 +121,6 @@ def _checked_generators(
     return names, generators
 
 
-class _JClasses(NamedTuple):
-    """The J-classes of a monoid, each listed after every class above it.
-
-    ``classes[c]`` holds element indices and ``class_of[x]`` is the class of
-    element ``x``.  Class 0 is the group of units.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-
-
 def _strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
     """Tarjan's strongly connected components, iteratively.
 
@@ -219,7 +208,7 @@ class TransformationMonoid:
         # has, each with an index in it, are the set
         order = list(map(self._index.get, found[0])) if found else []
         if len(order) != len(encoded) or None in order:
-            raise ValueError("generators do not generate the given element set")
+            raise NotGeneratingError("generators do not generate the given element set")
         self._walk = (order, found[1])
 
     def _store(
@@ -243,7 +232,7 @@ class TransformationMonoid:
         self._elements: Optional[tuple[Transformation, ...]] = None
         self._words: Optional[tuple[Word, ...]] = None
         self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
-        self._jclasses: Optional[_JClasses] = None
+        self._jclasses: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def elements(self) -> tuple[Transformation, ...]:
@@ -293,20 +282,18 @@ class TransformationMonoid:
                 p, h = divmod(e, r)
                 yield order[k], order[p], h
 
-    def _j_classes(self) -> _JClasses:
-        """The J-classes, computed on first use from the right Cayley table
-        and a left table, then kept."""
+    def _j_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The J-classes as sorted tuples of element indices, each listed
+        after every class above it, so that class 0 is the group of units;
+        computed on first use from the right Cayley table and a left table,
+        then kept."""
         if self._jclasses is None:
             right = self.right_cayley
             columns = self._left_columns()  # x -> g * x
             self._walk = None
             successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
-            components = _strong_components(successors)[::-1]  # top down
-            class_of = [0] * len(successors)
-            for c, members in enumerate(components):
-                for x in members:
-                    class_of[x] = c
-            self._jclasses = _JClasses(tuple(tuple(sorted(m)) for m in components), tuple(class_of))
+            components = reversed(_strong_components(successors))  # top down
+            self._jclasses = tuple(tuple(sorted(m)) for m in components)
         return self._jclasses
 
     def _left_columns(self) -> list[list[int]]:
@@ -474,16 +461,15 @@ def check_relation(
 def rank_exact(
     target: TransformationMonoid,
     max_subset_size: int,
-    candidate_pool: Optional[Sequence[Transformation]] = None,
     *,
     time_budget_s: float = DEFAULT_TIME_BUDGET_S,
 ) -> Optional[int]:
-    """Smallest k <= max_subset_size such that some k-subset of the pool generates the target.
+    """Smallest k <= max_subset_size such that some k-subset of the target generates it.
 
     The search runs one J-class at a time, from the top down, on the identity
     rank(M) = sum of r_J over the J-classes J of M, where r_J is the fewest
-    elements of J (from the pool) that together with the elements chosen so
-    far generate all of J:
+    elements of J that together with the elements chosen so far generate
+    all of J:
 
     * a product lies in J only if every factor lies in J or above it, so
       every generating set meets J in at least r_J elements;
@@ -491,40 +477,26 @@ def rank_exact(
 
     Every element chosen so far lies in a class taken earlier, so one that
     is a factor of a product in J lies strictly above J; the others add
-    nothing to J.  The pool defaults to all of the target; the identity is
-    generated from the start, so it is never a candidate.
-    Returns None only when it is proved that no subset of the pool of size
+    nothing to J.  The candidates are all of the target; the identity is
+    generated from the start, so it is never one.
+    Returns None only when it is proved that no subset of size
     <= max_subset_size generates the target.  Raises BudgetExceededError
     when ``time_budget_s`` runs out first, and ValueError when
-    ``max_subset_size`` is not an ``int`` of at least 0, the time budget is
-    not an ``int`` or ``float`` (a ``bool`` is not one) of at least 0 (NaN
-    is not), or the pool is not inside the target.
+    ``max_subset_size`` is not an ``int`` of at least 0 or the time budget
+    fails :func:`errors._require_seconds`.
     """
     _require_count("max_subset_size", max_subset_size, 0)
-    # NaN fails every comparison, so no deadline would hold; `not >= 0` rejects it
-    if (isinstance(time_budget_s, bool) or not isinstance(time_budget_s, (int, float))
-            or not time_budget_s >= 0):
-        raise ValueError(f"time budget must be a number >= 0 seconds, got {time_budget_s!r}")
-    deadline = time.monotonic() + time_budget_s
-    green = target._j_classes()
-    if candidate_pool is None:
-        pool = set(range(len(target)))
-    else:
-        pool = set(map(target._find, candidate_pool))
-        if None in pool:
-            raise ValueError("candidate pool must be a subset of the target monoid")
+    deadline = time.monotonic() + _require_seconds("time_budget_s", time_budget_s)
     store = target._encoded
     chosen: list[int] = []
     generated = {target._encode(range(target.degree))}  # the monoid generated by ``chosen``
-    for c, members in enumerate(green.classes):
+    for members in target._j_classes():
         base = [store[x] in generated for x in members]
         if all(base):
             continue
         picked = _fewest_generators_of_class(
-            target, c,
+            target, members,
             base=base,
-            # an element already generated adds nothing as a generator
-            candidates=[x for x, known in zip(members, base) if x in pool and not known],
             helpers=chosen,
             max_k=max_subset_size - len(chosen),
             deadline=deadline,
@@ -538,20 +510,20 @@ def rank_exact(
 
 def _fewest_generators_of_class(
     target: TransformationMonoid,
-    c: int,
+    members: Sequence[int],
     *,
     base: Sequence[bool],
-    candidates: Sequence[int],
     helpers: Sequence[int],
     max_k: int,
     deadline: float,
 ) -> Optional[tuple[int, ...]]:
-    """A smallest subset A of ``candidates`` (at most ``max_k`` of them) that
-    completes J-class ``c`` of the target, or None if there is none.
+    """A smallest set A of at most ``max_k`` ``members`` of one J-class of
+    the target that completes the class, or None if there is none.
 
-    ``base[i]`` says whether the class's i-th member is already generated by
-    the ``helpers``, the elements chosen so far, all from classes taken
-    before ``c``.  The members
+    ``base[i]`` says whether ``members[i]`` is already generated by the
+    ``helpers``, the elements chosen so far, all from classes above this
+    one; the candidates for A are the members not yet generated, since one
+    already generated adds nothing as a generator.  The members
     generated with A are the base and the closure of A under left and right
     multiplication by the helpers and A, kept inside the class: in a product
     that lands in the class, every partial product containing a factor from
@@ -559,8 +531,7 @@ def _fewest_generators_of_class(
     """
     if time.monotonic() > deadline:
         raise BudgetExceededError("rank search exceeded its time budget")
-    green = target._j_classes()
-    members, class_of, index = green.classes[c], green.class_of, target._index
+    index = target._index
     store, operand, product = target._encoded, target._operand, target._product
     local = {x: i for i, x in enumerate(members)}
     member_values = [store[x] for x in members]
@@ -572,14 +543,14 @@ def _fewest_generators_of_class(
         y_operand = operand(y_value)
         out = []
         for x_value, x_operand in zip(member_values, member_operands):
-            products = (index.get(product(x_value, y_operand)),
-                        index.get(product(y_value, x_operand)))
-            out.append([local[k] for k in products if k is not None and class_of[k] == c])
+            products = (index[product(x_value, y_operand)], index[product(y_value, x_operand)])
+            out.append([local[k] for k in products if k in local])
         return out
 
     fixed = [sum(edges, []) for edges in zip(*map(steps, helpers))] or [[] for _ in members]
+    candidates = [i for i, known in enumerate(base) if not known]
     moves: list[Optional[list[list[int]]]] = [None] * len(candidates)  # filled on first use
-    missing = base.count(False)
+    missing = len(candidates)
     tried = 0
     for k in range(1, min(max_k, len(candidates)) + 1):
         for subset in combinations(range(len(candidates)), k):
@@ -588,9 +559,9 @@ def _fewest_generators_of_class(
                 raise BudgetExceededError("rank search exceeded its time budget")
             for s in subset:
                 if moves[s] is None:
-                    moves[s] = steps(candidates[s])
+                    moves[s] = steps(members[candidates[s]])
             seen = bytearray(len(members))
-            stack = [local[candidates[s]] for s in subset]
+            stack = [candidates[s] for s in subset]
             unreached = missing
             for i in stack:
                 seen[i] = 1
@@ -603,7 +574,7 @@ def _fewest_generators_of_class(
                         unreached -= not base[j]
                         stack.append(j)
             if not unreached:
-                return tuple(candidates[s] for s in subset)
+                return tuple(members[candidates[s]] for s in subset)
     return None
 
 

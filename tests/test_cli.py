@@ -153,7 +153,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n", "4", "--class", "end",
                              "--budget-classes", budget)
         assert code == 2
-        assert out == "" and "max_classes" in err
+        assert out == "" and "--budget-classes" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_class_budget_rejected_before_anything_is_built(self, capsys, monkeypatch, budget):
+        def refuse(*args):
+            raise AssertionError("the presentation or the class scan was built")
+
+        monkeypatch.setattr(cli, "enumerate_class", refuse)
+        monkeypatch.setitem(cli.PRESENTATION_BUILDERS, "end", refuse)
+        code, out, err = run(capsys, "verify", "--n", "8", "--class", "end",
+                             "--budget-classes", budget)
+        assert code == 2 and out == ""
+        assert "--budget-classes" in err
 
     def test_class_budget_exhaustion_is_inconclusive(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end", "--json",
@@ -391,6 +403,17 @@ class TestRank:
         assert code == 2 and out == ""
         assert "--max-k" in err
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_time_budget_rejected_before_the_class_scan(self, capsys, monkeypatch, budget):
+        def refuse(*args):
+            raise AssertionError("the class scan ran")
+
+        monkeypatch.setattr(cli, "enumerate_class", refuse)
+        code, out, err = run(capsys, "rank", "--n", "8", "--class", "end", "--max-k", "2",
+                             "--budget-seconds", budget)
+        assert code == 2 and out == ""
+        assert "--budget-seconds" in err and "time budget" in err
+
 
 class TestOtherCommands:
     def test_dump_presentation_parses_back(self, capsys):
@@ -417,6 +440,23 @@ class TestOtherCommands:
         assert results["generates"] is True
         assert results["target_size"] == 6
         assert list(results["generators"]) == ["a0", "z"]
+
+    def test_generators_that_do_not_generate_answer_false(self, capsys, monkeypatch):
+        # without z nothing moves the hub, so END_4 is not generated
+        named = graphs._named_generators
+        monkeypatch.setattr(graphs, "_named_generators",
+                            lambda n, cls: [g for g in named(n, cls) if g[0] != "z"])
+        code, out, err = run(capsys, "check-generators", "--n", "4", "--class", "end")
+        assert (code, out, err) == (1, "generates: false\n", "")
+        code, out, _ = run(capsys, "check-generators", "--n", "4", "--class", "end", "--json")
+        assert code == 1
+        assert json.loads(out)["results"] == {
+            "degree": 4,
+            "class": "end",
+            "generators": {"a0": "0,2,1,3", "b0": "0,2,3,1", "e0": "0,1,1,3"},
+            "generates": False,
+            "target_size": 30,
+        }
 
     def test_budget_scan_flag_is_gone(self, capsys):
         assert main(["enumerate", "--n", "3", "--class", "end", "--budget-scan", "9"]) == 2

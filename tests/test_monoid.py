@@ -185,7 +185,6 @@ class TestFromElements:
                 lambda: is_generating_set(m, m.generators[:-1]),  # runs the closure
                 lambda: (m.witness_words, m.right_cayley),
                 lambda: rank_exact(m, 3),
-                lambda: rank_exact(m, 3, candidate_pool=m.generators),
                 lambda: is_regular_monoid(m),
                 lambda: format_monoid(m),
             ]
@@ -440,8 +439,6 @@ class TestMembership:
             assert other not in m
             with pytest.raises(ValueError, match="degree mismatch"):
                 m.index_of(other)
-            with pytest.raises(ValueError, match="candidate pool"):
-                rank_exact(m, 4, candidate_pool=[other])
         assert "0,1,2,3" not in m and (0, 1, 2, 3) not in m
         # index_of rejects anything but a Transformation
         for f in ((0, 1, 2, 3), [0, 1, 2, 3], b"\0\1\2\3", "0,1,2,3", None):
@@ -543,6 +540,45 @@ class TestOneWalk:
         assert m._walk is None  # released once the J-classes are built
 
 
+def _assert_j_classes_top_down(m):
+    """The J-classes partition the elements, class 0 is the group of units,
+    and no product with a generator, on either side, lies in an earlier class."""
+    columns = m._left_columns()  # read first: building the J-classes releases the walk
+    classes = m._j_classes()
+    class_of = {x: c for c, members in enumerate(classes) for x in members}
+    assert sum(map(len, classes)) == len(m) and sorted(class_of) == list(range(len(m)))
+    assert all(list(members) == sorted(members) for members in classes)
+    units = [x for x, t in enumerate(m.elements) if len(set(t.images)) == m.degree]
+    assert list(classes[0]) == units
+    for c, members in enumerate(classes):
+        for x in members:
+            for g in range(len(m.generators)):
+                assert class_of[m.right_cayley[x][g]] >= c
+                assert class_of[columns[g][x]] >= c
+
+
+class TestJClasses:
+    """The order rank and regularity read the J-classes in: top down."""
+
+    @pytest.mark.parametrize(
+        "cls", [EndoClass.END, EndoClass.STRONG_WEAK_END, EndoClass.WEAK_END]
+    )
+    def test_star_monoids(self, cls):
+        _assert_j_classes_top_down(enumerate_class(4, cls))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Transformation),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_drawn_monoids(self, gens):
+        _assert_j_classes_top_down(generate([(f"g{i}", t) for i, t in enumerate(gens)]))
+
+
 class TestRank:
     def test_trivial_monoid(self):
         m = TransformationMonoid.from_elements([identity(3)], [])
@@ -563,17 +599,6 @@ class TestRank:
         assert r == 3
         gens = [t for _, t in standard_generators(3, EndoClass.WEAK_END)]
         assert len(gens) == r and is_generating_set(target, gens)
-
-    def test_candidate_pool_restriction(self):
-        target = enumerate_class(3, EndoClass.END)
-        pool = [t for t in target.elements if t.images != (1, 0, 0) and t.images != (2, 0, 0)]
-        # without a hub-moving candidate nothing can generate
-        assert rank_exact(target, 3, candidate_pool=pool) is None
-
-    def test_pool_must_be_inside_target(self):
-        with pytest.raises(ValueError):
-            rank_exact(enumerate_class(3, EndoClass.END), 2,
-                       candidate_pool=[Transformation((0, 0, 0))])
 
     def test_group_targets(self):
         # generating subsets of a group are all-units; no non-unit padding needed

@@ -88,19 +88,6 @@ def test_matches_reference_at_and_below_rank(n, cls):
 
 
 @given(
-    st.sampled_from(list(EndoClass)),
-    st.integers(0, 4),
-    st.data(),
-)
-def test_matches_reference_on_random_pools(cls, max_k, data):
-    target = enumerate_class(3, cls)
-    pool = data.draw(st.lists(st.sampled_from(target.elements), max_size=len(target)))
-    assert rank_exact(target, max_k, candidate_pool=pool) == reference_rank(
-        target, max_k, candidate_pool=pool
-    )
-
-
-@given(
     st.integers(1, 3).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Transformation),
