@@ -49,7 +49,9 @@ from functools import cache, partial
 from typing import Optional, Sequence, Union
 
 from .errors import _require_count
-from .presentations import IntWord, Presentation, Relation, Word, _compile_traces
+from .presentations import (
+    IntWord, Presentation, Relation, Word, _compile_traces, _require_presentation,
+)
 
 
 @dataclass(frozen=True)
@@ -314,6 +316,7 @@ def enumerate_quotient(
     classes are live at once first.  Raises ValueError when
     ``max_classes`` is not an ``int`` (a ``bool`` is not one) of at least 1.
     """
+    _require_presentation(pres)
     _require_count("max_classes", max_classes)
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     relations = [

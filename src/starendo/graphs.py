@@ -48,7 +48,7 @@ import struct
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, _require_count
-from .monoid import TransformationMonoid
+from .monoid import TransformationMonoid, _require_monoid
 from .transform import Transformation, _compose_images, _require_map
 
 # The largest degree the scan accepts.  At n = 9 the candidates alone would
@@ -427,7 +427,7 @@ def cardinality_formula(n: int, cls: EndoClass | str) -> int:
 
 def is_regular_element(f: Transformation, monoid: TransformationMonoid) -> bool:
     """True iff some b in the monoid satisfies f*b*f == f (brute force)."""
-    if f not in monoid:
+    if f not in _require_monoid(monoid):
         raise ValueError("element is not in the monoid")
     fi = f.images
     for b in monoid.elements:
@@ -443,4 +443,5 @@ def is_regular_monoid(monoid: TransformationMonoid) -> bool:
     consists of regular elements or holds no regular element at all.
     The idempotents are tested on the monoid's stored images.
     """
-    return all(any(map(monoid._is_idempotent, members)) for members in monoid._j_classes())
+    _require_monoid(monoid)
+    return all(any(map(monoid._is_idempotent, members)) for members in monoid._j_classes)

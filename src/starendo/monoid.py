@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 import time
 from array import array
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -175,9 +176,9 @@ class TransformationMonoid:
     ``Transformation`` objects on first access), ``generator_names`` /
     ``generators``, one shortlex ``witness_word`` per element, and the
     ``right_cayley`` table mapping (element index, generator index) to the
-    index of the product.  The words and the table are derived on first
-    access from the walk that proved the generators, then kept; the walk is
-    released once the J-classes, its last reader, are built.
+    index of the product.  Each of these, and the J-classes, is built on its
+    own first access and then kept: the words, the table and the J-classes
+    from the walk that proved the generators, which the monoid keeps.
 
     The constructor takes the degree (an ``int`` of at least 1), the
     elements as ``Transformation`` objects, image sequences or encoded
@@ -191,6 +192,9 @@ class TransformationMonoid:
     degree and any image sequence that is not a map.  An empty generator
     list generates only the trivial monoid.
     """
+
+    # the proving closure's walk: (discovery index -> element index, its right table)
+    _walk: tuple[Sequence[int], array]
 
     def __init__(
         self,
@@ -218,8 +222,8 @@ class TransformationMonoid:
         generator_names: tuple[str, ...],
         generators: tuple[Transformation, ...],
     ) -> None:
-        """Set every field from distinct encoded elements in their final order
-        and checked generators, but ``_walk``."""
+        """Set the stored facts from distinct encoded elements in their final
+        order and checked generators; the caller sets ``_walk``."""
         self.degree = degree
         self.generator_names = generator_names
         self.generators = generators
@@ -227,44 +231,30 @@ class TransformationMonoid:
         self._operand, self._product = _multiplication(degree)
         self._encoded = encoded
         self._index = dict(zip(encoded, range(len(encoded))))
-        # (discovery index -> element index, the closure's right table)
-        self._walk: Optional[tuple[Sequence[int], array]] = None
-        self._elements: Optional[tuple[Transformation, ...]] = None
-        self._words: Optional[tuple[Word, ...]] = None
-        self._cayley: Optional[tuple[tuple[int, ...], ...]] = None
-        self._jclasses: Optional[tuple[tuple[int, ...], ...]] = None
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Transformation, ...]:
-        """The elements as ``Transformation`` objects, built once on first access."""
-        if self._elements is None:
-            self._elements = tuple(map(_trusted, map(tuple, self._encoded)))
-        return self._elements
+        """The elements as ``Transformation`` objects, built on first access."""
+        return tuple(map(_trusted, map(tuple, self._encoded)))
 
-    @property
+    @cached_property
     def witness_words(self) -> tuple[Word, ...]:
-        if self._words is None:
-            self._build_structure()
-        return self._words
-
-    @property
-    def right_cayley(self) -> tuple[tuple[int, ...], ...]:
-        if self._cayley is None:
-            self._build_structure()
-        return self._cayley
-
-    def _build_structure(self) -> None:
-        """Shortlex witness words and right Cayley rows, in element order,
-        from the walk's tree and table."""
-        order, walk = self._walk
-        names, r = self.generator_names, len(self.generators)
-        words: list[Word] = [()] * len(order)
+        """The shortlex witness words in element order, from the walk's tree."""
+        names = self.generator_names
+        words: list[Word] = [()] * len(self)
         for x, p, h in self._tree_edges():
             words[x] = words[p] + (names[h],)
+        return tuple(words)
+
+    @cached_property
+    def right_cayley(self) -> tuple[tuple[int, ...], ...]:
+        """The right Cayley rows in element order, from the walk's table."""
+        order, walk = self._walk
+        r = len(self.generators)
         cayley: list[tuple[int, ...]] = [()] * len(order)
         for i, x in enumerate(order):
             cayley[x] = tuple(map(order.__getitem__, walk[i * r : (i + 1) * r]))
-        self._words, self._cayley = tuple(words), tuple(cayley)
+        return tuple(cayley)
 
     def _tree_edges(self) -> Iterator[tuple[int, int, int]]:
         """The walk's breadth-first tree as element indices (x, p, h) with
@@ -282,19 +272,16 @@ class TransformationMonoid:
                 p, h = divmod(e, r)
                 yield order[k], order[p], h
 
+    @cached_property
     def _j_classes(self) -> tuple[tuple[int, ...], ...]:
         """The J-classes as sorted tuples of element indices, each listed
         after every class above it, so that class 0 is the group of units;
-        computed on first use from the right Cayley table and a left table,
-        then kept."""
-        if self._jclasses is None:
-            right = self.right_cayley
-            columns = self._left_columns()  # x -> g * x
-            self._walk = None
-            successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
-            components = reversed(_strong_components(successors))  # top down
-            self._jclasses = tuple(tuple(sorted(m)) for m in components)
-        return self._jclasses
+        built on first access from the right Cayley table and a left table."""
+        right = self.right_cayley
+        columns = self._left_columns()  # x -> g * x
+        successors = list(map(tuple.__add__, right, zip(*columns))) if columns else right
+        components = reversed(_strong_components(successors))  # top down
+        return tuple(tuple(sorted(m)) for m in components)
 
     def _left_columns(self) -> list[list[int]]:
         """The left Cayley table by columns, ``columns[j][x]`` the index of
@@ -404,6 +391,14 @@ def generate(
     return TransformationMonoid.generate(named_generators, max_elements=max_elements)
 
 
+def _require_monoid(value: object) -> TransformationMonoid:
+    """``value`` itself when it is a :class:`TransformationMonoid`; ValueError
+    otherwise.  The monoid counterpart of ``transform._require_map``."""
+    if not isinstance(value, TransformationMonoid):
+        raise ValueError(f"not a TransformationMonoid: {value!r}")
+    return value
+
+
 def is_generating_set(
     target: TransformationMonoid, transformations: Iterable[Transformation]
 ) -> bool:
@@ -413,8 +408,7 @@ def is_generating_set(
     the target's own generators, which generate it by construction.
     ValueError for a target or a map of the wrong type, or a map of another degree.
     """
-    if not isinstance(target, TransformationMonoid):
-        raise ValueError(f"not a TransformationMonoid: {target!r}")
+    _require_monoid(target)
     gens = [_require_map(t, target.degree) for t in transformations]
     if not gens:
         return len(target) == 1
@@ -481,16 +475,17 @@ def rank_exact(
     generated from the start, so it is never one.
     Returns None only when it is proved that no subset of size
     <= max_subset_size generates the target.  Raises BudgetExceededError
-    when ``time_budget_s`` runs out first, and ValueError when
-    ``max_subset_size`` is not an ``int`` of at least 0 or the time budget
-    fails :func:`errors._require_seconds`.
+    when ``time_budget_s`` runs out first, and ValueError when the target
+    is not a ``TransformationMonoid``, ``max_subset_size`` is not an ``int``
+    of at least 0 or the time budget fails :func:`errors._require_seconds`.
     """
+    _require_monoid(target)
     _require_count("max_subset_size", max_subset_size, 0)
     deadline = time.monotonic() + _require_seconds("time_budget_s", time_budget_s)
     store = target._encoded
     chosen: list[int] = []
     generated = {target._encode(range(target.degree))}  # the monoid generated by ``chosen``
-    for members in target._j_classes():
+    for members in target._j_classes:
         base = [store[x] in generated for x in members]
         if all(base):
             continue
@@ -584,6 +579,7 @@ def format_monoid(monoid: TransformationMonoid) -> str:
     Each line is written from the stored images, as ``Transformation.format``
     would write them; no ``Transformation`` object is built.
     """
+    _require_monoid(monoid)
     lines = [f"degree {monoid.degree} size {len(monoid)}"]
     digits = list(map(str, range(monoid.degree)))
     for i, (images, word) in enumerate(zip(monoid._encoded, monoid.witness_words)):

@@ -84,6 +84,14 @@ class Presentation:
         return f"<Presentation |X|={len(self.alphabet)} |R|={len(self.relations)}>"
 
 
+def _require_presentation(value: object) -> Presentation:
+    """``value`` itself when it is a :class:`Presentation`; ValueError
+    otherwise.  The presentation counterpart of ``transform._require_map``."""
+    if not isinstance(value, Presentation):
+        raise ValueError(f"not a Presentation: {value!r}")
+    return value
+
+
 def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
     """Trace programs for relations ``u = v`` over letter indices.
 
@@ -301,6 +309,7 @@ def wend_star_presentation(n: int) -> Presentation:
 
 def presentation_to_json(pres: Presentation) -> str:
     """Serialize to the structured text format (round-trip is bit-exact)."""
+    _require_presentation(pres)
     doc = {
         "alphabet": list(pres.alphabet),
         "relations": [[list(u), list(v)] for u, v in pres.relations],

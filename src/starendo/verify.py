@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 from .congruence import QuotientExceeded, QuotientStats, enumerate_quotient
 from .errors import _require_count
 from .monoid import TransformationMonoid, check_relation, is_generating_set
-from .presentations import Presentation, Relation
+from .presentations import Presentation, Relation, _require_presentation
 from .transform import Transformation, _require_map
 
 SOUNDNESS_NOTE = (
@@ -56,22 +56,13 @@ class VerificationReport:
     counters: Optional[QuotientStats] = None  # None when no enumeration ran
 
     def to_dict(self) -> dict:
-        return {
-            "presentation_id": self.presentation_id,
-            "target_id": self.target_id,
-            "relations_satisfied": self.relations_satisfied,
-            "failing_relations": [
-                [list(u), list(v)] for u, v in self.failing_relations
-            ],
-            "quotient_size": (
-                "exceeded" if self.verdict is Verdict.INCONCLUSIVE_BUDGET else self.quotient_size
-            ),
-            "classes_reached": self.classes_reached,
-            "target_size": self.target_size,
-            "verdict": self.verdict.value,
-            "note": self.note,
-            "counters": None if self.counters is None else asdict(self.counters),
-        }
+        """The fields in order, with the verdict as its value and the
+        quotient size as ``"exceeded"`` when the class budget ran out."""
+        report = asdict(self)
+        report["verdict"] = self.verdict.value
+        if self.verdict is Verdict.INCONCLUSIVE_BUDGET:
+            report["quotient_size"] = "exceeded"
+        return report
 
 
 def satisfies_relations(
@@ -83,7 +74,7 @@ def satisfies_relations(
     the assigned values are not all ``Transformation``s of one degree,
     whichever relations there are.
     """
-    missing = [x for x in pres.alphabet if x not in assignment]
+    missing = [x for x in _require_presentation(pres).alphabet if x not in assignment]
     if missing:
         raise ValueError(f"letters without assigned transformations: {missing}")
     degree = None
@@ -113,6 +104,7 @@ def verify_presentation(
     (else ValueError).  A finished quotient table smaller than the target is
     an engine fault and raises AssertionError.
     """
+    _require_presentation(pres)
     _require_count("max_classes", max_classes)
     if set(assignment) != set(pres.alphabet):
         raise ValueError(

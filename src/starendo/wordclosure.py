@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import _require_count
-from .presentations import Presentation, _compile_traces
+from .presentations import Presentation, _compile_traces, _require_presentation
 
 DEFAULT_WORD_BUDGET = 2_000_000
 DEFAULT_ROUND_BUDGET = 10_000
@@ -95,7 +95,7 @@ def word_closure(
     max_rounds: int = DEFAULT_ROUND_BUDGET,
 ) -> tuple[Optional[int], WordClosureStats]:
     """Size of the presented monoid (None on budget exhaustion) and run counters."""
-    closure = _WordClosure(pres, _require_count("max_words", max_words))
+    closure = _WordClosure(_require_presentation(pres), _require_count("max_words", max_words))
     try:
         size = closure.run(_require_count("max_rounds", max_rounds))
     except _OverBudget:

@@ -154,12 +154,15 @@ class TestFromElements:
             TransformationMonoid.from_elements([identity(8), swap], gens)
 
     def test_structure_built_on_first_access(self):
-        for m in (enumerate_class(4, EndoClass.WEAK_END),
-                  generate(standard_generators(4, EndoClass.END))):
-            assert m._words is None and m._cayley is None
-            words = m.witness_words
-            assert m._cayley is not None
-            assert m.witness_words is words
+        # the words are built without the Cayley rows, and the reverse
+        for make in (lambda: enumerate_class(4, EndoClass.WEAK_END),
+                     lambda: generate(standard_generators(4, EndoClass.END))):
+            for read, unbuilt in (("witness_words", "right_cayley"),
+                                  ("right_cayley", "witness_words")):
+                m = make()
+                value = getattr(m, read)
+                assert read in vars(m) and unbuilt not in vars(m)
+                assert getattr(m, read) is value
 
     def test_words_match_generated_closure(self):
         # the same shortlex words as the discovery-order closure, element by element
@@ -188,10 +191,10 @@ class TestFromElements:
                 lambda: is_regular_monoid(m),
                 lambda: format_monoid(m),
             ]
-            assert m._elements is None
+            assert "elements" not in vars(m)
             for step in steps:
                 step()
-                assert m._elements is None
+                assert "elements" not in vars(m)
             elements = m.elements
             assert elements[m.index_of(identity(n))] == identity(n)
             assert list(m) == list(elements) and m.elements is elements
@@ -406,7 +409,7 @@ class TestByteBoundary:
         assert rank_exact(target, 2) == 2
         assert rank_exact(target, 1) is None
         assert is_regular_monoid(target)
-        assert target._elements is None
+        assert "elements" not in vars(target)
 
     def test_rank_of_cyclic_group_above_the_boundary(self):
         gens, expected, _ = self.CASES[257]
@@ -534,17 +537,30 @@ class TestOneWalk:
 
         monkeypatch.setattr(monoid_module, "_closure", counted)
         m = enumerate_class(4, "wend")
-        m.witness_words, m.right_cayley, m._j_classes()
+        m.witness_words, m.right_cayley, m._j_classes
         is_regular_monoid(m)
         assert len(calls) == 1
-        assert m._walk is None  # released once the J-classes are built
+
+    @pytest.mark.parametrize("make", [
+        lambda: enumerate_class(4, "wend"),
+        lambda: generate(standard_generators(4, "wend")),
+    ], ids=["enumerate_class", "generate"])
+    def test_j_classes_keep_the_walk(self, make):
+        # the J-classes read the Cayley rows but not the words, and the
+        # walk stays for every later reader
+        m = make()
+        classes = m._j_classes
+        assert "witness_words" not in vars(m) and "right_cayley" in vars(m)
+        assert m._left_columns() == make()._left_columns()
+        assert m._j_classes is classes
+        assert m.witness_words == make().witness_words
 
 
 def _assert_j_classes_top_down(m):
     """The J-classes partition the elements, class 0 is the group of units,
     and no product with a generator, on either side, lies in an earlier class."""
-    columns = m._left_columns()  # read first: building the J-classes releases the walk
-    classes = m._j_classes()
+    columns = m._left_columns()
+    classes = m._j_classes
     class_of = {x: c for c, members in enumerate(classes) for x in members}
     assert sum(map(len, classes)) == len(m) and sorted(class_of) == list(range(len(m)))
     assert all(list(members) == sorted(members) for members in classes)

@@ -11,13 +11,21 @@ from starendo import (
     classify,
     compose,
     enumerate_class,
+    enumerate_quotient,
     evaluate_word,
+    format_monoid,
     identity,
     is_generating_set,
     is_idempotent,
+    is_regular_element,
+    is_regular_monoid,
+    presentation_to_json,
+    rank_exact,
     satisfies_relations,
     star_graph,
     verify_presentation,
+    word_closure,
+    word_closure_size,
 )
 
 
@@ -211,4 +219,40 @@ _NOT_A_MAP, _MISMATCH = "not a Transformation", "degree mismatch"
 )
 def test_entry_points_reject_what_is_not_a_map(call, stem):
     with pytest.raises(ValueError, match=stem):
+        call()
+
+
+# the same for every entry point that takes a monoid or a presentation
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rank_exact("x", 1),
+        lambda: is_regular_monoid("x"),
+        lambda: is_regular_element(identity(3), "x"),
+        lambda: format_monoid("x"),
+        lambda: is_generating_set("x", []),
+    ],
+    ids=["rank_exact", "is_regular_monoid", "is_regular_element", "format_monoid",
+         "is_generating_set"],
+)
+def test_entry_points_reject_what_is_not_a_monoid(call):
+    with pytest.raises(ValueError, match="not a TransformationMonoid"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_quotient("x", max_classes=5),
+        lambda: word_closure("x"),
+        lambda: word_closure_size(("a",)),
+        lambda: verify_presentation("x", _S2, {"a": T(1, 0)}, max_classes=10),
+        lambda: satisfies_relations({}, "x"),
+        lambda: presentation_to_json("x"),
+    ],
+    ids=["enumerate_quotient", "word_closure", "word_closure_size", "verify_presentation",
+         "satisfies_relations", "presentation_to_json"],
+)
+def test_entry_points_reject_what_is_not_a_presentation(call):
+    with pytest.raises(ValueError, match="not a Presentation"):
         call()
