@@ -1,7 +1,8 @@
 """Command-line front end: enumerate, verify, census, rank, dump-presentation,
 check-generators.
 
-Exit codes: 0 success/verified, 1 refuted, 2 usage error, 3 budget exhausted.
+Exit codes: 0 success/verified, 1 refuted, 2 usage error, 3 budget exhausted
+(a run out of memory included).
 Every subcommand except dump-presentation takes --json for a structured
 report; default output is human-readable (the enumerate dump and the census
 CSV are timing-free, so repeated runs are byte-identical).
@@ -307,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         code, results, text = args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print(f"budget exceeded: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

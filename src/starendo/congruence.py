@@ -26,16 +26,18 @@ class, because a merge keeps ``table[find(c)][x]`` congruent to
 the completed table are those of the plain loop.
 
 Coincidences are merged by ``merge``, a routine written out once per
-alphabet size (``_coincidence``) from one fixed template in which only the
-size ``k`` and the letter offsets ``0..k-1`` are substituted.  It reads the
-removed class's row entry by entry at constant offsets, with no slice and
-no loop over the letters.  A run removes nearly every class it defines
-(1,152,891 of 1,230,062 when ``end_star_presentation(6)`` without its
-``z z`` relation runs out of a 77,168-class budget), and most removed rows
-hold a single entry, so a slice and a loop over k letters per removed class
-were overhead out of proportion to the entries copied.  Its queue rule
-is the plain loop's: pairs are popped last in, first out, the older root
-is kept, a missing entry is copied and a clashing one is queued.
+alphabet size (``presentations._coincidence``, which the word-closure oracle
+runs too, over the union-find of ``presentations._find``) from one fixed
+template in which only the size ``k`` and the letter offsets ``0..k-1`` are
+substituted.  It reads the removed class's row entry by entry at constant
+offsets, with no slice and no loop over the letters.  A run removes nearly
+every class it defines (1,152,891 of 1,230,062 when
+``end_star_presentation(6)`` without its ``z z`` relation runs out of a
+77,168-class budget), and most removed rows hold a single entry, so a slice
+and a loop over k letters per removed class were overhead out of proportion
+to the entries copied.  Its queue rule is the plain loop's: pairs are
+popped last in, first out, the older root is kept, a missing entry is
+copied and a clashing one is queued.
 
 On completion the classes are renumbered in breadth-first order from the
 class of the empty word, which makes the table and the shortlex
@@ -45,12 +47,13 @@ representative words deterministic regardless of internal merge order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .errors import _require_count
 from .presentations import (
-    IntWord, Presentation, Relation, Word, _compile_traces, _require_presentation,
+    IntWord, Presentation, Relation, Word, _coincidence, _compile_traces, _find,
+    _require_presentation,
 )
 
 
@@ -146,63 +149,6 @@ class CongruenceTable:
                     raise AssertionError(
                         f"relation fails at class {q}: traces reach {a} and {b}"
                     )
-
-
-def _find(parent: list[int], c: int) -> int:
-    """Root of class ``c``, halving the path on the way."""
-    while parent[c] != c:
-        parent[c] = parent[parent[c]]
-        c = parent[c]
-    return c
-
-
-# The coincidence routine of ``_run_table_enumeration``, written out for one
-# alphabet size: ``{k}`` and each letter offset ``{x}`` are the only
-# substitutions, so the removed class's row is read at constant offsets.
-_MERGE_SOURCE = """\
-def merge(table, parent, a, b):
-    queue = [(a, b)]
-    removed = 0
-    while queue:
-        a, b = queue.pop()
-        if parent[a] != a:
-            a = _find(parent, a)
-        if parent[b] != b:
-            b = _find(parent, b)
-        if a == b:
-            continue
-        if b < a:
-            a, b = b, a
-        parent[b] = a
-        removed += 1
-        i = a * {k}
-        j = b * {k}
-{letters}    return removed
-"""
-_MERGE_LETTER = """\
-        vb = table[j + {x}]
-        if vb >= 0:
-            va = table[i + {x}]
-            if va < 0:
-                table[i + {x}] = vb
-            else:
-                queue.append((va, vb))
-"""
-
-
-@cache
-def _coincidence(k: int):
-    """``merge(table, parent, a, b)`` for a flat table of ``k`` letters.
-
-    Merges the distinct roots a and b, and then every pair of entries the
-    merge makes equal, by the plain loop's queue rule (see the module
-    docstring), and returns how many classes it removed.
-    """
-    letters = "".join(_MERGE_LETTER.format(x=x) for x in range(k))
-    source = _MERGE_SOURCE.format(k=k, letters=letters)
-    namespace = {"_find": _find}
-    exec(compile(source, f"<coincidence k={k}>", "exec"), namespace)
-    return namespace["merge"]
 
 
 def _run_table_enumeration(n_letters: int, relations, cap: int):

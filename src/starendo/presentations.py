@@ -13,13 +13,17 @@ top of them, the endomorphism-type monoids of star graphs.
 ``_compile_traces`` turns relations over letter indices into the trace
 programs that both size engines run: the class-table enumerator and its
 ``CongruenceTable.check`` in congruence.py, and the word-closure oracle in
-wordclosure.py, which imports nothing from congruence.py.
+wordclosure.py, which imports nothing from congruence.py.  Both engines also
+merge coincident classes through the one ``merge`` routine that
+``_coincidence`` writes out per alphabet size, over the union-find of
+``_find``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 from .errors import _require_count
@@ -154,6 +158,67 @@ def _compile_traces(relations: Sequence[tuple[IntWord, IntWord]]):
             ends.append(s)
         programs.append((tuple(segments), ends[0], ends[1], last))
     return len(slot) + 2, tuple(programs)
+
+
+def _find(parent: list[int], c: int) -> int:
+    """Root of class ``c``, halving the path on the way."""
+    while parent[c] != c:
+        parent[c] = parent[parent[c]]
+        c = parent[c]
+    return c
+
+
+# The coincidence routine of both size engines, written out for one alphabet
+# size: ``{k}`` and each letter offset ``{x}`` are the only substitutions, so
+# the removed class's row is read at constant offsets.
+_MERGE_SOURCE = """\
+def merge(table, parent, a, b):
+    queue = [(a, b)]
+    removed = 0
+    while queue:
+        a, b = queue.pop()
+        if parent[a] != a:
+            a = _find(parent, a)
+        if parent[b] != b:
+            b = _find(parent, b)
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        removed += 1
+        i = a * {k}
+        j = b * {k}
+{letters}    return removed
+"""
+_MERGE_LETTER = """\
+        vb = table[j + {x}]
+        if vb >= 0:
+            va = table[i + {x}]
+            if va < 0:
+                table[i + {x}] = vb
+            else:
+                queue.append((va, vb))
+"""
+
+
+@cache
+def _coincidence(k: int):
+    """``merge(table, parent, a, b)`` for a flat table of ``k`` letters.
+
+    ``table[c*k + x]`` is class c's entry for letter x, -1 while missing,
+    and ``parent`` is the union-find of ``_find``.  Merges the distinct
+    roots a and b, and then every pair of entries the merge makes equal:
+    pairs are popped last in, first out, the older root (the smaller
+    number) is kept, a missing entry is copied and a clashing pair is
+    queued, in letter order.  Returns how many classes it removed.
+    """
+    letters = "".join(_MERGE_LETTER.format(x=x) for x in range(k))
+    source = _MERGE_SOURCE.format(k=k, letters=letters)
+    namespace = {"_find": _find}
+    exec(compile(source, f"<coincidence k={k}>", "exec"), namespace)
+    return namespace["merge"]
+
 
 
 def _chain(*words: Word) -> list[Relation]:

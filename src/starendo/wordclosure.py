@@ -1,17 +1,23 @@
 """Word-level union-find oracle for sizing a finitely presented monoid.
 
-Deliberately independent of the class-table enumerator in congruence.py,
-from which it imports nothing: this one works on literal words.  Every
-registered word is a node, an int id: the empty word is node 0, and every
-other node is the word of a class's root followed by one letter, so the
-registered words are prefix-closed.  Nodes are merged by union-find, and
-the older node (the smaller id) stays the root, so the empty word is always
-a root.  The one table is a per-class signature (``sig[root*k + x]``, a
-node in the class of the root's words followed by letter x); a word is
-registered only for a class with no x extension yet, and that node becomes
-the extension.  Merges propagate to right extensions: when two classes
-merge and both have an extension by the same letter, those extensions merge
-too.
+It imports nothing from the class-table enumerator in congruence.py: this
+one works on literal words.  Every registered word is a node, an int id:
+the empty word is node 0, and every other node is the word of a class's
+root followed by one letter, so the registered words are prefix-closed.
+Nodes are merged by union-find, and the older node (the smaller id) stays
+the root, so the empty word is always a root.  The one table is a
+per-class signature (``sig[root*k + x]``, a node in the class of the root's
+words followed by letter x); a word is registered only for a class with no
+x extension yet, and that node becomes the extension.  Merges propagate to
+right extensions: when two classes merge and both have an extension by the
+same letter, those extensions merge too.
+
+What the two size engines share lives in presentations.py: the trace
+programs of ``_compile_traces``, the union-find lookup ``_find`` and the
+coincidence routine ``merge`` that ``_coincidence`` writes out per alphabet
+size, here run on ``sig`` as the enumerator runs it on its class table.
+Registration, the reachability pass and the certificate are this module's
+own.
 
 The oracle starts from the empty word alone and repeats one relation scan,
 as in the HLT scan of coset enumeration (Sims, *Computation with Finitely
@@ -19,15 +25,14 @@ Presented Groups*, ch. 5).  The classes are read off as a transition table
 (state = root of a class, state s on letter x goes to the class of
 ``sig[s*k + x]``), and the states reachable from the class of the empty
 word are found; a missing step of that search registers the word for the
-next scan.  Then every relation u != v is traced from every state, by the
-trace programs of ``presentations._compile_traces``, the compiler the
-enumerator uses too: a segment resumes from the class in its slot,
-resolved to its root, and steps through the signature table.  A missing
-step registers the word and the trace carries on from its class; side v's
-last letter is one more such step.  If the two sides end in different
-classes, the classes merge, which is the rewrite u -> v applied at the end
-of the state's word.  A state that an earlier merge of the same scan turned
-into a non-root is skipped.
+next scan.  Then every relation u != v is traced from every state by the
+trace programs: a segment resumes from the class in its slot, resolved to
+its root, and steps through the signature table.  A missing step registers
+the word and the trace carries on from its class; side v's last letter is
+one more such step, compiled as one more segment.  If the two sides end in
+different classes, the classes merge, which is the rewrite u -> v applied
+at the end of the state's word.  A state that an earlier merge of the same
+scan turned into a non-root is skipped.
 
 The certificate: a scan that registers no word and merges no class has
 found the table complete, reachable from the class of the empty word, and
@@ -53,7 +58,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import _require_count
-from .presentations import Presentation, _compile_traces, _require_presentation
+from .presentations import (
+    Presentation, _coincidence, _compile_traces, _find, _require_presentation,
+)
 
 DEFAULT_WORD_BUDGET = 2_000_000
 DEFAULT_ROUND_BUDGET = 10_000
@@ -111,81 +118,51 @@ class _WordClosure:
         k = self.k = len(pres.alphabet)
         self.max_words = max_words
         index = {x: i for i, x in enumerate(pres.alphabet)}
-        n_slots, self.programs = _compile_traces([
+        n_slots, programs = _compile_traces([
             (tuple(index[x] for x in u), tuple(index[x] for x in v))
             for u, v in pres.relations
             if u != v
         ])
-        self.slots = [0] * n_slots
+        # side v's last letter is one more step, a segment into one more slot
+        self.programs = [
+            (segments + ((b, (last,), n_slots),), a, n_slots)
+            for segments, a, b, last in programs
+        ]
+        self.slots = [0] * (n_slots + 1)
         self.parent = [0]  # union-find over nodes; node 0 is the empty word
         self.sig = [-1] * k  # root*k + x -> a node in the class of root's words + x
         self.blank = [-1] * k
+        self.merge = _coincidence(k)
         self.merges = 0
         self.rounds = 0
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    def union(self, x: int, y: int) -> None:
-        parent, sig, k = self.parent, self.sig, self.k
-        work = [(x, y)]
-        while work:
-            x, y = work.pop()
-            if parent[x] != x:
-                x = self.find(x)
-            if parent[y] != y:
-                y = self.find(y)
-            if x == y:
-                continue
-            if y < x:  # the older node stays the root
-                x, y = y, x
-            parent[y] = x
-            self.merges += 1
-            bx, by = x * k, y * k
-            for i in range(k):
-                t = sig[by + i]
-                if t >= 0:
-                    s = sig[bx + i]
-                    if s >= 0:
-                        work.append((s, t))
-                    else:
-                        sig[bx + i] = t
-
-    def extend(self, r: int, x: int) -> int:
-        """Register root ``r``'s word followed by ``x``; return the new node, a root.
-
-        Called only for a class with no ``x`` extension yet: the node becomes it.
-        """
-        n = len(self.parent)
-        if n >= self.max_words:
-            raise _OverBudget
-        self.sig[r * self.k + x] = n
-        self.sig.extend(self.blank)
-        self.parent.append(n)
-        return n
-
     def certify(self) -> Optional[int]:
-        """The state count if the current table passes the certificate, else None."""
-        sig, parent, k = self.sig, self.parent, self.k
-        find, extend = self.find, self.extend
+        """The state count if the current table passes the certificate, else None.
+
+        A missing extension is registered where it is found, in the
+        reachability pass and in the scan: the new node, a root, becomes
+        the extension, and registering past ``max_words`` raises
+        ``_OverBudget``.
+        """
+        sig, parent, k, blank = self.sig, self.parent, self.k, self.blank
+        max_words, merge = self.max_words, self.merge
         words_before, merges_before = len(parent), self.merges
-        root0 = find(0)
+        root0 = _find(parent, 0)
         seen = {root0}
         states = [root0]
         for q in states:
-            for x in range(k):
-                n = sig[q * k + x]
-                if n < 0:
-                    extend(q, x)  # registered for later scans, not followed now
+            for i in range(q * k, q * k + k):
+                n = sig[i]
+                if n < 0:  # registered for later scans, not followed now
+                    n = len(parent)
+                    if n >= max_words:
+                        raise _OverBudget
+                    sig[i] = n
+                    sig += blank
+                    parent.append(n)
                     continue
                 if parent[n] != n:
-                    n = find(n)
+                    n = _find(parent, n)
                 if n not in seen:
                     seen.add(n)
                     states.append(n)
@@ -194,35 +171,32 @@ class _WordClosure:
             if parent[q] != q:
                 continue  # merged earlier in this scan, which voids the certificate
             slots[0] = q
-            for segments, a, b, last in self.programs:
+            for segments, a, b in self.programs:
                 for s, letters, t in segments:
                     c = slots[s]
                     if parent[c] != c:
-                        c = find(c)  # merged since it was stored: resume from the root
+                        c = _find(parent, c)  # merged since it was stored: resume from the root
                     for x in letters:
-                        n = sig[c * k + x]
+                        i = c * k + x
+                        n = sig[i]
                         if n < 0:
-                            c = extend(c, x)
+                            c = len(parent)
+                            if c >= max_words:
+                                raise _OverBudget
+                            sig[i] = c
+                            sig += blank
+                            parent.append(c)
                         else:
                             c = parent[n]
                             if c != n and parent[c] != c:
-                                c = find(n)
+                                c = _find(parent, n)
                     slots[t] = c
                 a = slots[a]
                 if parent[a] != a:
-                    a = find(a)
-                b = slots[b]
-                if parent[b] != b:
-                    b = find(b)
-                n = sig[b * k + last]  # side v's last letter, one more step
-                if n < 0:
-                    b = extend(b, last)
-                else:
-                    b = parent[n]
-                    if b != n and parent[b] != b:
-                        b = find(n)
+                    a = _find(parent, a)
+                b = slots[b]  # a root: no merge since its segment stored it
                 if a != b:
-                    self.union(a, b)
+                    self.merges += merge(sig, parent, a, b)
         if len(parent) == words_before and self.merges == merges_before:
             return len(states)
         return None

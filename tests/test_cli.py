@@ -79,6 +79,16 @@ class TestEnumerate:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_out_of_memory_is_a_budget_exit(self, capsys, monkeypatch, json_flag):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "enumerate_class", exhaust)
+        code, out, err = run(capsys, "enumerate", "--n", "8", "--class", "wend", *json_flag)
+        assert code == 3 and out == ""
+        assert err == "budget exceeded: enumerate ran out of memory\n"
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "enumerate", "--n", "4", "--class", "swend")
         _, out2, _ = run(capsys, "enumerate", "--n", "4", "--class", "swend")

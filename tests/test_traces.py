@@ -1,5 +1,6 @@
 """The compiled relation traces that the quotient enumerator,
-``CongruenceTable.check`` and the word-closure oracle share.
+``CongruenceTable.check`` and the word-closure oracle share, and the
+coincidence routine that both size engines merge through.
 
 ``expand`` runs a compiled program on words instead of classes: a slot
 holds the word traced so far, so the programs must spell out every traced
@@ -7,6 +8,7 @@ word exactly, reading only slots that an earlier word of the same scan
 stored.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,8 @@ from starendo import (
     enumerate_quotient,
     wend_star_presentation,
 )
-from starendo.presentations import _compile_traces
+from starendo import congruence, presentations, wordclosure
+from starendo.presentations import _coincidence, _compile_traces, _find
 
 
 def traced_words(relations):
@@ -124,3 +127,70 @@ class TestCheck:
                 assert not naive_check(bad, pres.relations)
                 with pytest.raises(AssertionError):
                     bad.check(pres.relations)
+
+
+def plain_root(parent, c):
+    while parent[c] != c:
+        c = parent[c]
+    return c
+
+
+def plain_merge(table, parent, k, a, b):
+    """Union with propagation, written plainly: roots by walking up, the
+    smaller root kept, a missing entry copied and a clashing pair queued
+    (last in, first out); returns how many classes it removed."""
+    queue = [(a, b)]
+    removed = 0
+    while queue:
+        a, b = sorted(plain_root(parent, c) for c in queue.pop())
+        if a == b:
+            continue
+        parent[b] = a
+        removed += 1
+        for x in range(k):
+            va, vb = table[a * k + x], table[b * k + x]
+            if vb < 0:
+                continue
+            if va < 0:
+                table[a * k + x] = vb
+            else:
+                queue.append((va, vb))
+    return removed
+
+
+def drawn_state(rng, k):
+    """A flat table over a union-find forest, and two distinct roots."""
+    n = rng.randint(2, 12)
+    parent = [c if c == 0 or rng.random() < 0.6 else rng.randrange(c) for c in range(n)]
+    roots = [c for c in range(n) if parent[c] == c]
+    while len(roots) < 2:
+        c = rng.randrange(1, n)
+        parent[c] = c
+        roots = [c for c in range(n) if parent[c] == c]
+    table = [rng.randrange(n) if rng.random() < 0.7 else -1 for _ in range(n * k)]
+    a, b = rng.sample(roots, 2)
+    return table, parent, a, b
+
+
+class TestCoincidence:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_merge_matches_the_plain_loop(self, k):
+        rng = random.Random(20261020 + k)
+        merge = _coincidence(k)
+        for _ in range(300):
+            table, parent, a, b = drawn_state(rng, k)
+            plain_table, plain_parent = list(table), list(parent)
+            removed = merge(table, parent, a, b)
+            assert removed == plain_merge(plain_table, plain_parent, k, a, b) >= 1
+            assert table == plain_table
+            assert [plain_root(parent, c) for c in range(len(parent))] == \
+                [plain_root(plain_parent, c) for c in range(len(parent))]
+
+    def test_both_engines_bind_the_one_routine(self):
+        assert congruence._coincidence is wordclosure._coincidence is _coincidence
+        assert congruence._find is wordclosure._find is _find
+        assert _coincidence(3) is _coincidence(3)
+        closure = wordclosure._WordClosure(end_star_presentation(4), 100)
+        assert closure.merge is _coincidence(4)
+        assert not hasattr(closure, "find") and not hasattr(closure, "union")
+        assert _coincidence.__module__ == _find.__module__ == presentations.__name__

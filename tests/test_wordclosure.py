@@ -269,16 +269,18 @@ class _RecordingClosure(wordclosure._WordClosure):
         return size
 
 
-class _ExtendRecordingClosure(wordclosure._WordClosure):
-    """Records the signature entry each ``extend(r, x)`` call finds."""
+class _SetOnceTable(list):
+    """A signature table that records each entry set and the value it held,
+    wherever it is set: registration in the reachability pass or in the
+    scan, or an entry copied by a merge."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.extensions = []
+        self.sets = []
 
-    def extend(self, r, x):
-        self.extensions.append(self.sig[r * self.k + x])
-        return super().extend(r, x)
+    def __setitem__(self, i, value):
+        self.sets.append((self[i], value))
+        super().__setitem__(i, value)
 
 
 class TestAgreesWithReference:
@@ -337,11 +339,18 @@ class TestCertificate:
     @pytest.mark.parametrize("name", ["end4", "wend4", "T4", "PT3"])
     def test_a_word_is_registered_only_as_a_missing_extension(self, name):
         # The signature table is the only table: a class's x extension is
-        # registered once, and a registered word never joins a class at once.
+        # registered once, into an entry that was missing, and a registered
+        # word never joins a class at once.  A merge, too, only fills
+        # missing entries, so no entry is ever set twice.
         builder, n = CASES[name]
-        closure = _ExtendRecordingClosure(builder(n), 2_000_000)
+        closure = wordclosure._WordClosure(builder(n), 2_000_000)
+        closure.sig = sig = _SetOnceTable(closure.sig)
         assert closure.run(10_000) == word_closure_size(builder(n))
-        assert closure.extensions and all(t < 0 for t in closure.extensions)
+        assert sig.sets and all(old < 0 for old, _ in sig.sets)
+        # a merge copies only registered words, so the first entry holding
+        # each word is its registration: every word, once, in id order
+        firsts = list(dict.fromkeys(new for _, new in sig.sets))
+        assert firsts == list(range(1, len(closure.parent)))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_free_monoid_never_certifies(self, k):
@@ -373,6 +382,23 @@ class TestBudget:
         size, stats = word_closure(partial_transf_presentation(4), max_words=max_words)
         assert size is None
         assert stats.words_registered <= max_words + 1
+
+    @pytest.mark.parametrize("name", ["end4", "wend4", "T4", "PT3"])
+    @pytest.mark.parametrize("extra", [1, 2, 10])
+    def test_word_budget_stops_the_relation_scan(self, name, extra):
+        # The first scan starts from the empty word alone: its reachability
+        # pass registers the k one-letter words, and every later word of
+        # the scan is registered while tracing the relations.
+        builder, n = CASES[name]
+        pres = builder(n)
+        max_words = 1 + len(pres.alphabet) + extra
+        closure = _RecordingClosure(pres, 2_000_000)
+        closure.run(10_000)
+        (words, _), (words_after, _), _ = closure.scans[0]
+        assert words == 1 and words_after > max_words
+        size, stats = word_closure(pres, max_words=max_words)
+        assert size is None and stats.certify_rounds == 0
+        assert stats.words_registered == max_words
 
     def test_budget_is_exact(self):
         pres = partial_transf_presentation(3)
