@@ -40,17 +40,18 @@ popped last in, first out, the older root is kept, a missing entry is
 copied and a clashing one is queued.
 
 On completion the classes are renumbered in breadth-first order from the
-class of the empty word, which makes the table and the shortlex
-representative words deterministic regardless of internal merge order.
+class of the empty word, which makes the table deterministic regardless of
+merge order; ``monoid._tree_edges`` reads the shortlex words off its tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence, Union
 
 from .errors import _require_count
+from .monoid import _tree_edges
 from .presentations import (
     IntWord, Presentation, Relation, Word, _coincidence, _compile_traces, _find,
     _require_presentation,
@@ -86,15 +87,23 @@ class CongruenceTable:
     """Complete right-multiplication table of a finite quotient.
 
     Class 0 is the class of the empty word; ``right_mult[q][i]`` is the
-    class of (representative of q) followed by letter i; representatives
-    are shortlex-minimal.
+    class of (representative of q) followed by letter i.  The numbering is
+    breadth-first, so the table's tree gives the shortlex representatives.
     """
 
     alphabet: tuple[str, ...]
     size: int
     right_mult: tuple[tuple[int, ...], ...]
-    representative_words: tuple[Word, ...]
     stats: Optional[QuotientStats] = field(default=None, compare=False)
+
+    @cached_property
+    def representative_words(self) -> tuple[Word, ...]:
+        """Each class's shortlex-minimal word, read off the table's tree."""
+        words: list[Word] = [()] * self.size
+        flat = [d for row in self.right_mult for d in row]
+        for x, p, h in _tree_edges(flat, len(self.alphabet)):
+            words[x] = words[p] + (self.alphabet[h],)
+        return tuple(words)
 
     def trace(self, word: Sequence[str], start: int = 0) -> int:
         """Follow ``word`` through the table from the given class.
@@ -273,12 +282,10 @@ def enumerate_quotient(
     if table is None:
         return QuotientExceeded(classes_reached=live, stats=stats)
 
-    # breadth-first renumbering from the class of the empty word; the first
-    # word reaching a class in this order is its shortlex-minimal representative
+    # breadth-first renumbering from the class of the empty word
     root = find(0)
     order = {root: 0}
     bfs = [root]
-    reps: list[Word] = [()]
     rows: list[tuple[int, ...]] = []
     i = 0
     while i < len(bfs):
@@ -289,7 +296,6 @@ def enumerate_quotient(
             if d not in order:
                 order[d] = len(bfs)
                 bfs.append(d)
-                reps.append(reps[i] + (pres.alphabet[x],))
             row.append(order[d])
         rows.append(tuple(row))
         i += 1
@@ -301,7 +307,6 @@ def enumerate_quotient(
         alphabet=pres.alphabet,
         size=live,
         right_mult=tuple(rows),
-        representative_words=tuple(reps),
         stats=stats,
     )
     result.check(pres.relations)

@@ -174,7 +174,10 @@ def _membership_mask(
 
 def classify(f: Transformation, graph: SimpleGraph) -> frozenset[EndoClass]:
     """The exact set of endomorphism classes ``f`` belongs to on ``graph``;
-    ValueError for a value that is not a Transformation of the graph's degree."""
+    ValueError for a graph that is not a SimpleGraph or a value that is not
+    a Transformation of the graph's degree."""
+    if not isinstance(graph, SimpleGraph):
+        raise ValueError(f"not a SimpleGraph: {graph!r}")
     _require_map(f, graph.vertex_count)
     mask = _membership_mask(f.images, *_pair_table(graph))
     return frozenset(c for c, select in zip(_CLASS_ORDER, _SELECT) if select[mask])

@@ -102,6 +102,20 @@ def _closure(
     return elements, walk
 
 
+def _tree_edges(table: Sequence[int], k: int) -> Iterator[tuple[int, int, int]]:
+    """The breadth-first tree of a standardized table as (x, p, h) with
+    x = p * letter h, each parent before its children.  ``table`` is flat,
+    ``k`` entries a row, numbered in table order as :func:`_closure` and
+    ``enumerate_quotient`` number theirs, so the first entry equal to x,
+    ``p*k + h``, is x's tree edge."""
+    last = 0
+    for e, x in enumerate(table):
+        if x > last:
+            last = x
+            p, h = divmod(e, k)
+            yield x, p, h
+
+
 def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
     """True iff the closure of the given maps has exactly ``size`` elements."""
     found = _closure(degree, gen_images, size)
@@ -241,9 +255,10 @@ class TransformationMonoid:
     def witness_words(self) -> tuple[Word, ...]:
         """The shortlex witness words in element order, from the walk's tree."""
         names = self.generator_names
+        order, walk = self._walk
         words: list[Word] = [()] * len(self)
-        for x, p, h in self._tree_edges():
-            words[x] = words[p] + (names[h],)
+        for x, p, h in _tree_edges(walk, len(names)):
+            words[order[x]] = words[order[p]] + (names[h],)
         return tuple(words)
 
     @cached_property
@@ -255,22 +270,6 @@ class TransformationMonoid:
         for i, x in enumerate(order):
             cayley[x] = tuple(map(order.__getitem__, walk[i * r : (i + 1) * r]))
         return tuple(cayley)
-
-    def _tree_edges(self) -> Iterator[tuple[int, int, int]]:
-        """The walk's breadth-first tree as element indices (x, p, h) with
-        x = p * generator h, each parent before its children.
-
-        Discovery indices are handed out in walk order, so the first entry
-        of the walk equal to k, ``p*r + h``, is element k's tree edge.
-        """
-        order, walk = self._walk
-        r = len(self.generators)
-        last = 0
-        for e, k in enumerate(walk):
-            if k > last:
-                last = k
-                p, h = divmod(e, r)
-                yield order[k], order[p], h
 
     @cached_property
     def _j_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -289,8 +288,9 @@ class TransformationMonoid:
         walk's tree, g * identity = g and g * x = (g * p) * h for x's tree
         edge x = p * h, with index lookups only."""
         right = self.right_cayley
-        tree = list(self._tree_edges())
-        root = self._walk[0][0]  # the identity, discovered first
+        order, walk = self._walk
+        tree = [(order[x], order[p], h) for x, p, h in _tree_edges(walk, len(self.generators))]
+        root = order[0]  # the identity, discovered first
         columns = []
         for g in right[root]:
             column = [0] * len(right)

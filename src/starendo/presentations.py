@@ -22,9 +22,9 @@ merge coincident classes through the one ``merge`` routine that
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
 
 from .errors import _require_count
 
@@ -76,7 +76,10 @@ class Presentation:
         object.__setattr__(self, "relations", tuple(relations))
 
     def relabel(self, mapping: Mapping[str, str]) -> "Presentation":
-        """Rename letters; unmapped letters keep their names."""
+        """Rename letters; unmapped letters keep their names.  ValueError for
+        a ``mapping`` that is not a Mapping."""
+        if not isinstance(mapping, Mapping):
+            raise ValueError(f"relabeling {mapping!r} is not a Mapping of letters")
         new_alphabet = tuple(mapping.get(x, x) for x in self.alphabet)
         new_relations = tuple(
             (tuple(mapping.get(x, x) for x in u), tuple(mapping.get(x, x) for x in v))
@@ -394,10 +397,13 @@ def _json_word(value: object, where: str) -> Word:
 def presentation_from_json(text: str) -> Presentation:
     """Parse the structured text format produced by :func:`presentation_to_json`.
 
-    Malformed documents raise ``ValueError``: invalid JSON, a document that
-    is not an object, missing keys, words that are not lists, letters that
-    are not strings, or relations that are not pairs of words.
+    Malformed documents raise ``ValueError``: text that is neither ``str``
+    nor ``bytes``, invalid JSON, a document that is not an object, missing
+    keys, words that are not lists, letters that are not strings, or
+    relations that are not pairs of words.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValueError(f"presentation text must be str or bytes, got {type(text).__name__}")
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"presentation document must be an object, got {type(doc).__name__}")

@@ -10,8 +10,9 @@ isomorphism.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .congruence import QuotientExceeded, QuotientStats, enumerate_quotient
 from .errors import _require_count
@@ -65,15 +66,24 @@ class VerificationReport:
         return report
 
 
+def _require_assignment(value: object) -> Mapping:
+    """``value`` itself when it is a Mapping, as a letter assignment must
+    be; ValueError otherwise."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"assignment {value!r} is not a Mapping of letters to Transformations")
+    return value
+
+
 def satisfies_relations(
     assignment: Mapping[str, Transformation], pres: Presentation
 ) -> tuple[bool, tuple[Relation, ...]]:
     """Check every relation pointwise; return (all hold, failing relations).
 
-    Raises ValueError when a letter of the alphabet has no assigned value, or
-    the assigned values are not all ``Transformation``s of one degree,
-    whichever relations there are.
+    Raises ValueError when the assignment is not a Mapping, a letter of the
+    alphabet has no assigned value, or the assigned values are not all
+    ``Transformation``s of one degree, whichever relations there are.
     """
+    _require_assignment(assignment)
     missing = [x for x in _require_presentation(pres).alphabet if x not in assignment]
     if missing:
         raise ValueError(f"letters without assigned transformations: {missing}")
@@ -97,16 +107,16 @@ def verify_presentation(
 ) -> VerificationReport:
     """Decide whether the presentation defines the target monoid.
 
-    The assignment must cover exactly the alphabet and its images must
-    generate the target (violations raise ValueError; they are precondition
-    failures, not refutations), and ``max_classes``, the class budget of the
-    quotient enumeration, is the caller's and must be an ``int`` of at least 1
-    (else ValueError).  A finished quotient table smaller than the target is
+    The assignment must be a Mapping that covers exactly the alphabet and
+    its images must generate the target (violations raise ValueError; they
+    are precondition failures, not refutations), and ``max_classes``, the
+    class budget of the quotient enumeration, is the caller's and must be an
+    ``int`` of at least 1 (else ValueError).  A finished quotient table smaller than the target is
     an engine fault and raises AssertionError.
     """
     _require_presentation(pres)
     _require_count("max_classes", max_classes)
-    if set(assignment) != set(pres.alphabet):
+    if set(_require_assignment(assignment)) != set(pres.alphabet):
         raise ValueError(
             f"assignment letters {sorted(assignment)} do not match alphabet "
             f"{sorted(pres.alphabet)}"

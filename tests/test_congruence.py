@@ -148,12 +148,10 @@ def reference_quotient(pres, max_classes):
         rows.append(tuple(row))
         i += 1
     assert len(bfs) == live
-    return CongruenceTable(
-        alphabet=pres.alphabet,
-        size=live,
-        right_mult=tuple(rows),
-        representative_words=tuple(reps),
-    )
+    table = CongruenceTable(alphabet=pres.alphabet, size=live, right_mult=tuple(rows))
+    # the words read off the table's tree are the breadth-first words
+    assert table.representative_words == tuple(reps)
+    return table
 
 
 def assert_same_trajectory(pres, max_classes=ENOUGH):
@@ -285,6 +283,23 @@ class TestTrajectoryMatchesReference:
         assert_same_trajectory(pres, max_classes=cap)
 
 
+class TestOneTableFormat:
+    """A finished quotient is numbered as the monoid's closure walk is."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", ["end", "swend", "wend"])
+    def test_quotient_table_is_the_target_walk(self, cls, n):
+        table = enumerate_quotient(STAR_BUILDERS[cls](n), max_classes=ENOUGH)
+        target = enumerate_class(n, cls)
+        order, walk = target._walk
+        r = len(target.generators)
+        assert table.alphabet == target.generator_names
+        assert table.right_mult == tuple(
+            tuple(walk[i * r : (i + 1) * r]) for i in range(len(order))
+        )
+        assert table.representative_words == tuple(target.witness_words[x] for x in order)
+
+
 class TestEnumerateQuotient:
     def test_order_two_group(self):
         pres = Presentation(("a",), [(("a", "a"), ())])
@@ -292,6 +307,18 @@ class TestEnumerateQuotient:
         assert isinstance(table, CongruenceTable)
         assert table.size == 2
         assert table.representative_words == ((), ("a",))
+
+    def test_words_are_built_on_first_read(self):
+        table = enumerate_quotient(end_star_presentation(4), max_classes=ENOUGH)
+        assert "representative_words" not in vars(table)
+        words = table.representative_words
+        assert vars(table)["representative_words"] is words
+        assert len(words) == table.size == 30
+
+    def test_empty_alphabet(self):
+        table = enumerate_quotient(Presentation((), ()), max_classes=1)
+        assert table.size == 1 and table.right_mult == ((),)
+        assert table.representative_words == ((),)
 
     def test_free_monoid_exceeds(self):
         res = enumerate_quotient(Presentation(("a",), []), max_classes=8192)
@@ -461,6 +488,11 @@ class TestSatisfiesRelations:
             with pytest.raises(ValueError, match="not a Transformation"):
                 satisfies_relations({"a": (0, 1)}, Presentation(("a",), relations))
 
+    @pytest.mark.parametrize("assignment", [None, 5, "ab", [("a", Transformation((1, 0)))]])
+    def test_assignment_that_is_not_a_mapping(self, assignment):
+        with pytest.raises(ValueError, match="not a Mapping"):
+            satisfies_relations(assignment, sym_presentation(3))
+
     def test_values_of_two_degrees(self):
         assignment = {"a": Transformation((1, 0)), "b": Transformation((0, 0, 1))}
         # no relation uses b, so evaluating the relations alone would pass
@@ -594,6 +626,30 @@ class TestVerifyPresentation:
         assert report.verdict is Verdict.REFUTED_RELATIONS
         with pytest.raises(ValueError, match="max_classes"):
             verify_presentation(pres, target, assignment, max_classes=max_classes)
+
+    @pytest.mark.parametrize("assignment", [None, 5, "ab", [("a", Transformation((1, 0)))]])
+    def test_assignment_that_is_not_a_mapping(self, assignment):
+        with pytest.raises(ValueError, match="not a Mapping"):
+            verify_presentation(
+                sym_presentation(3), enumerate_class(3, EndoClass.AUT), assignment, max_classes=10
+            )
+
+    def test_quotient_words_are_not_built(self, monkeypatch):
+        tables = []
+
+        def recorded(*args, **kwargs):
+            tables.append(enumerate_quotient(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr("starendo.verify.enumerate_quotient", recorded)
+        report = verify_presentation(
+            end_star_presentation(4),
+            enumerate_class(4, EndoClass.END),
+            dict(standard_generators(4, EndoClass.END)),
+            max_classes=ENOUGH,
+        )
+        assert report.verdict is Verdict.VERIFIED
+        assert "representative_words" not in vars(tables[0])
 
     def test_non_generating_assignment_is_an_error(self):
         pres = end_star_presentation(4)

@@ -94,6 +94,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(identity(3), star_graph(4))
 
+    @pytest.mark.parametrize("graph", ["x", None, 4, [(0, 1)]])
+    def test_graph_that_is_not_a_simple_graph(self, graph):
+        with pytest.raises(ValueError, match="not a SimpleGraph"):
+            classify(identity(3), graph)
+
     def test_image_tuple_is_not_a_map(self):
         # as index_of does: a ValueError, not a stray AttributeError
         with pytest.raises(ValueError, match="not a Transformation"):

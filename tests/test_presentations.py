@@ -63,6 +63,11 @@ class TestPresentationType:
         assert q.alphabet == ("x", "b")
         assert q.relations == ((("x", "b"), ("b",)),)
 
+    @pytest.mark.parametrize("mapping", [None, [("a", "x")], "ax", 5])
+    def test_relabel_takes_only_a_mapping(self, mapping):
+        with pytest.raises(ValueError, match="not a Mapping"):
+            sym_presentation(3).relabel(mapping)
+
 
 class TestSymmetric:
     def test_n3_exact(self):
@@ -254,6 +259,11 @@ class TestSerialization:
     )
     def test_malformed_document_raises_value_error(self, text):
         with pytest.raises(ValueError):
+            presentation_from_json(text)
+
+    @pytest.mark.parametrize("text", [5, None, ["{}"], {"alphabet": [], "relations": []}])
+    def test_text_that_is_not_a_string(self, text):
+        with pytest.raises(ValueError, match="must be str or bytes"):
             presentation_from_json(text)
 
 
