@@ -39,15 +39,20 @@ to the entries copied.  Its queue rule is the plain loop's: pairs are
 popped last in, first out, the older root is kept, a missing entry is
 copied and a clashing one is queued.
 
-On completion the classes are renumbered in breadth-first order from the
-class of the empty word, which makes the table deterministic regardless of
-merge order; ``monoid._tree_edges`` reads the shortlex words off its tree.
+On completion ``_standardized`` renumbers the classes in breadth-first
+order from the class of the empty word, in one pass over the finished
+table, which makes the table deterministic regardless of merge order.
+``enumerate_quotient`` builds its rows from that flat table and checks every
+relation at every class; ``verify`` compares the same flat table with the
+target's walk instead.  ``monoid._tree_edges`` reads the shortlex words off
+the rows' tree.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import _require_count
@@ -161,7 +166,7 @@ class CongruenceTable:
 
 
 def _run_table_enumeration(n_letters: int, relations, cap: int):
-    """Core loop; returns (table, find, live, stats), table None on budget.
+    """Core loop; returns (table, parent, live, stats), table None on budget.
 
     ``table`` is flat: entry ``c * n_letters + x`` is the class of c followed
     by letter x, or -1 while undefined.  A relation u = v is traced from each
@@ -250,7 +255,7 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
             if live > cap:
                 return None, None, live, _stats(parent, peak, live)
         q += 1
-    return table, partial(_find, parent), live, _stats(parent, peak, live)
+    return table, parent, live, _stats(parent, peak, live)
 
 
 def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
@@ -261,15 +266,17 @@ def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
     )
 
 
-def enumerate_quotient(
-    pres: Presentation, *, max_classes: int
-) -> Union[CongruenceTable, QuotientExceeded]:
-    """Enumerate the quotient of the free monoid by the presentation's congruence.
+def _standardized(pres: Presentation, max_classes: int):
+    """Enumerate and renumber: (flat table, live classes, stats), the table None
+    on budget.
 
-    Returns the complete table whenever enumeration finishes, whatever its
-    size, and :class:`QuotientExceeded` when more than ``max_classes``
-    classes are live at once first.  Raises ValueError when
-    ``max_classes`` is not an ``int`` (a ``bool`` is not one) of at least 1.
+    The finished table is read once, breadth-first from the class of the
+    empty word with letters in alphabet order, and each class gets its
+    discovery number on first sight; entry ``q * k + x`` of the returned
+    ``array('i')`` is the number of class q followed by letter x.  This is
+    the one renumbering of a finished table: ``enumerate_quotient`` builds
+    its rows from it, and ``verify`` compares it with the target's walk.
+    Raises AssertionError when a live class is unreachable.
     """
     _require_presentation(pres)
     _require_count("max_classes", max_classes)
@@ -277,37 +284,59 @@ def enumerate_quotient(
     relations = [
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
-    n_letters = len(pres.alphabet)
-    table, find, live, stats = _run_table_enumeration(n_letters, relations, max_classes)
+    k = len(pres.alphabet)
+    table, parent, live, stats = _run_table_enumeration(k, relations, max_classes)
     if table is None:
-        return QuotientExceeded(classes_reached=live, stats=stats)
-
-    # breadth-first renumbering from the class of the empty word
-    root = find(0)
+        return None, live, stats
+    root = _find(parent, 0)
     order = {root: 0}
     bfs = [root]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(bfs):
-        base = bfs[i] * n_letters
-        row = []
-        for x in range(n_letters):
-            d = find(table[base + x])
-            if d not in order:
-                order[d] = len(bfs)
+    flat = array("i")
+    for c in bfs:  # grows while it is walked: breadth-first
+        for d in table[c * k : (c + 1) * k]:
+            if parent[d] != d:
+                d = parent[d]
+                if parent[d] != d:
+                    d = _find(parent, d)
+            q = order.get(d)
+            if q is None:
+                q = order[d] = len(bfs)
                 bfs.append(d)
-            row.append(order[d])
-        rows.append(tuple(row))
-        i += 1
+            flat.append(q)
     if len(bfs) != live:
         raise AssertionError(
             f"unreachable classes after enumeration: reached {len(bfs)} of {live}"
         )
+    return flat, live, stats
+
+
+def _checked_table(
+    pres: Presentation, flat: array, size: int, stats: QuotientStats
+) -> CongruenceTable:
+    """The ``CongruenceTable`` of a standardized flat table, after ``check``."""
+    k = len(pres.alphabet)
     result = CongruenceTable(
         alphabet=pres.alphabet,
-        size=live,
-        right_mult=tuple(rows),
+        size=size,
+        right_mult=tuple(tuple(flat[q * k : (q + 1) * k]) for q in range(size)),
         stats=stats,
     )
     result.check(pres.relations)
     return result
+
+
+def enumerate_quotient(
+    pres: Presentation, *, max_classes: int
+) -> Union[CongruenceTable, QuotientExceeded]:
+    """Enumerate the quotient of the free monoid by the presentation's congruence.
+
+    Returns the complete table whenever enumeration finishes, whatever its
+    size, and :class:`QuotientExceeded` when more than ``max_classes``
+    classes are live at once first.  The table is checked against every
+    relation at every class before it is returned.  Raises ValueError when
+    ``max_classes`` is not an ``int`` (a ``bool`` is not one) of at least 1.
+    """
+    flat, size, stats = _standardized(pres, max_classes)
+    if flat is None:
+        return QuotientExceeded(classes_reached=size, stats=stats)
+    return _checked_table(pres, flat, size, stats)

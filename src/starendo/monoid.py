@@ -28,9 +28,10 @@ from __future__ import annotations
 import operator
 import time
 from array import array
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, NotGeneratingError, _require_count, _require_seconds
 from .transform import Transformation, _compose_images, _require_map, _trusted
@@ -116,10 +117,13 @@ def _tree_edges(table: Sequence[int], k: int) -> Iterator[tuple[int, int, int]]:
             yield x, p, h
 
 
-def _generates_exactly(degree: int, gen_images: Sequence[tuple[int, ...]], size: int) -> bool:
-    """True iff the closure of the given maps has exactly ``size`` elements."""
+def _generates_exactly(
+    degree: int, gen_images: Sequence[tuple[int, ...]], size: int
+) -> Optional[array]:
+    """The right table of the closure of the given maps when it has exactly
+    ``size`` elements, else None."""
     found = _closure(degree, gen_images, size)
-    return found is not None and len(found[0]) == size
+    return found[1] if found is not None and len(found[0]) == size else None
 
 
 def _checked_generators(
@@ -414,9 +418,31 @@ def is_generating_set(
         return len(target) == 1
     if {t.images for t in gens} == {t.images for t in target.generators}:
         return True
+    return _generating_walk(target, gens) is not None
+
+
+def _generating_walk(
+    target: TransformationMonoid, gens: Sequence[Transformation]
+) -> Optional[array]:
+    """The right table of the target's breadth-first walk over ``gens``, maps
+    of its degree, in their order; None when they do not generate it.
+
+    The target's own walk when ``gens`` are its generators in their order,
+    else the walk of the one closure that proves that they generate it.
+    """
+    if [t.images for t in gens] == [t.images for t in target.generators]:
+        return target._walk[1]
     if any(t not in target for t in gens):
-        return False
+        return None
     return _generates_exactly(target.degree, [t.images for t in gens], len(target))
+
+
+def _require_assignment(value: object) -> Mapping:
+    """``value`` itself when it is a Mapping, as a letter assignment must
+    be; ValueError otherwise."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"assignment {value!r} is not a Mapping of letters to Transformations")
+    return value
 
 
 def evaluate_word(
@@ -426,7 +452,9 @@ def evaluate_word(
 
     The empty word evaluates to the identity; its degree is taken from the
     assignment unless given explicitly, as an ``int`` of at least 1.
+    Raises ValueError when the assignment is not a Mapping.
     """
+    _require_assignment(assignment)
     if degree is not None:
         _require_count("degree", degree)
     elif not assignment:
@@ -446,8 +474,11 @@ def evaluate_word(
 def check_relation(
     assignment: Mapping[str, Transformation], lhs: Sequence[str], rhs: Sequence[str]
 ) -> bool:
-    """True iff both words evaluate to the same transformation."""
-    if not assignment and not lhs and not rhs:
+    """True iff both words evaluate to the same transformation.
+
+    Raises ValueError when the assignment is not a Mapping.
+    """
+    if not _require_assignment(assignment) and not lhs and not rhs:
         return True
     return evaluate_word(assignment, lhs) == evaluate_word(assignment, rhs)
 

@@ -1,10 +1,21 @@
 """Guess-and-prove verification of a presentation against a concrete monoid.
 
 A presentation defines a given finite monoid when (1) the chosen generators
-satisfy every relation and (2) the presented quotient has exactly the
-monoid's cardinality: condition (1) gives a surjection from the quotient
-onto the monoid, and equal finite sizes force that surjection to be an
-isomorphism.
+satisfy every relation and (2) the presented quotient's finished table,
+renumbered breadth-first from the class of the empty word, equals entry for
+entry the monoid's breadth-first walk from the identity over the images of
+the letters in alphabet order.  Condition (1) gives a surjection
+[w] -> phi(w) from the quotient onto the monoid.  The enumerator merges only
+congruent words, so the words that reach one class of its table are
+congruent.  Both tables are standardized in Sims' sense, so by (2) class q
+and element q are reached by the same words: words with one image are
+congruent, and the surjection is a bijection, an isomorphism.  (2) also
+implies that every relation u = v holds at every class, since at the class
+of element x both sides reach x*phi(u) = x*phi(v); so ``verify`` runs no
+separate ``CongruenceTable.check``.  A finished table of the target's size
+that differs from the walk, or one smaller than the target, is an engine
+fault and raises AssertionError.  A larger one is checked against every
+relation before it refutes the size.
 """
 
 from __future__ import annotations
@@ -14,16 +25,19 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .congruence import QuotientExceeded, QuotientStats, enumerate_quotient
+from .congruence import QuotientStats, _checked_table, _standardized
 from .errors import _require_count
-from .monoid import TransformationMonoid, check_relation, is_generating_set
+from .monoid import (
+    TransformationMonoid, _generating_walk, _require_assignment, _require_monoid, check_relation,
+)
 from .presentations import Presentation, Relation, _require_presentation
 from .transform import Transformation, _require_map
 
 SOUNDNESS_NOTE = (
     "generators satisfying every relation induce a surjection from the presented "
-    "quotient onto the monoid; quotient size equal to monoid size forces that "
-    "surjection to be an isomorphism"
+    "quotient onto the monoid; a finished quotient table equal entry for entry to "
+    "the monoid's breadth-first walk over the generators proves that surjection an "
+    "isomorphism, and that every relation holds at every class"
 )
 
 
@@ -66,14 +80,6 @@ class VerificationReport:
         return report
 
 
-def _require_assignment(value: object) -> Mapping:
-    """``value`` itself when it is a Mapping, as a letter assignment must
-    be; ValueError otherwise."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"assignment {value!r} is not a Mapping of letters to Transformations")
-    return value
-
-
 def satisfies_relations(
     assignment: Mapping[str, Transformation], pres: Presentation
 ) -> tuple[bool, tuple[Relation, ...]]:
@@ -111,8 +117,17 @@ def verify_presentation(
     its images must generate the target (violations raise ValueError; they
     are precondition failures, not refutations), and ``max_classes``, the
     class budget of the quotient enumeration, is the caller's and must be an
-    ``int`` of at least 1 (else ValueError).  A finished quotient table smaller than the target is
-    an engine fault and raises AssertionError.
+    ``int`` of at least 1 (else ValueError).
+
+    ``verified`` means that the finished quotient table, renumbered
+    breadth-first, equals the target's breadth-first walk over the images in
+    alphabet order (the target's own walk when they are its generators in
+    order, else the walk of the closure that proves they generate it).  That
+    equality proves the isomorphism and implies every relation at every
+    class, so no ``CongruenceTable.check`` runs.  A finished table of the
+    target's size that differs from the walk, or one smaller than the
+    target, is an engine fault and raises AssertionError.  A larger table is
+    built and checked against every relation before it is ``refuted-size``.
     """
     _require_presentation(pres)
     _require_count("max_classes", max_classes)
@@ -121,24 +136,32 @@ def verify_presentation(
             f"assignment letters {sorted(assignment)} do not match alphabet "
             f"{sorted(pres.alphabet)}"
         )
-    if not is_generating_set(target, [assignment[x] for x in pres.alphabet]):
+    _require_monoid(target)
+    images = [_require_map(assignment[x], target.degree) for x in pres.alphabet]
+    walk = _generating_walk(target, images)
+    if walk is None:
         raise ValueError("assignment images do not generate the target monoid")
 
     target_size = len(target)
     ok, failures = satisfies_relations(assignment, pres)
-    result = enumerate_quotient(pres, max_classes=max_classes) if ok else None
-    if result is None:
+    flat, size, stats = _standardized(pres, max_classes) if ok else (None, None, None)
+    if not ok:
         verdict, quotient_size, classes_reached = Verdict.REFUTED_RELATIONS, None, None
-    elif isinstance(result, QuotientExceeded):
-        verdict, quotient_size = Verdict.INCONCLUSIVE_BUDGET, None
-        classes_reached = result.classes_reached
-    elif result.size < target_size:
+    elif flat is None:
+        verdict, quotient_size, classes_reached = Verdict.INCONCLUSIVE_BUDGET, None, size
+    elif size < target_size:
         # the relations hold and the images generate the target, so the
         # quotient has at least target_size classes
-        raise AssertionError(f"quotient of {result.size} classes for a target of {target_size}")
+        raise AssertionError(f"quotient of {size} classes for a target of {target_size}")
+    elif size == target_size:
+        if flat != walk:
+            raise AssertionError(
+                f"quotient table of {size} classes differs from the target's walk"
+            )
+        verdict, quotient_size, classes_reached = Verdict.VERIFIED, size, size
     else:
-        verdict = Verdict.VERIFIED if result.size == target_size else Verdict.REFUTED_SIZE
-        quotient_size = classes_reached = result.size
+        _checked_table(pres, flat, size, stats)
+        verdict, quotient_size, classes_reached = Verdict.REFUTED_SIZE, size, size
     return VerificationReport(
         presentation_id=presentation_id,
         target_id=target_id,
@@ -149,5 +172,5 @@ def verify_presentation(
         target_size=target_size,
         verdict=verdict,
         note=_NOTE_PREFIX[verdict] + SOUNDNESS_NOTE,
-        counters=None if result is None else result.stats,
+        counters=stats,
     )

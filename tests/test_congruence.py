@@ -35,6 +35,8 @@ from starendo import (
     word_closure_size,
     Verdict,
 )
+import starendo.monoid as monoid_module
+from starendo.congruence import _standardized
 from starendo.verify import SOUNDNESS_NOTE
 
 
@@ -556,7 +558,7 @@ class TestVerifyPresentation:
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == 6
 
-    def test_quotient_above_target_refutes_size(self):
+    def test_quotient_above_target_refutes_size(self, monkeypatch):
         # <a, b | a^2, b^3, (ab)^4> is S_4, which maps onto Aut(S_4) = S_3
         pres = Presentation(
             ("a0", "b0"), [(("a0",) * 2, ()), (("b0",) * 3, ()), (("a0", "b0") * 4, ())]
@@ -565,10 +567,20 @@ class TestVerifyPresentation:
             "a0": Transformation((0, 2, 1, 3)),
             "b0": Transformation((0, 2, 3, 1)),
         }
+        # the refutation rests on a table checked at every class
+        checked = []
+        real = CongruenceTable.check
+
+        def recorded(self, relations):
+            checked.append(self.size)
+            return real(self, relations)
+
+        monkeypatch.setattr(CongruenceTable, "check", recorded)
         report = verify_presentation(
             pres, enumerate_class(4, EndoClass.AUT), assignment, max_classes=ENOUGH
         )
         assert report.verdict is Verdict.REFUTED_SIZE
+        assert checked == [24]
         assert report.quotient_size == report.classes_reached == 24
         assert report.target_size == 6
         assert report.note.startswith("quotient enumeration finished above the target size; ")
@@ -604,8 +616,8 @@ class TestVerifyPresentation:
     def test_table_below_target_is_an_engine_fault(self, monkeypatch):
         # the relations hold and the images generate END_4, so a finished
         # table of fewer than 30 classes can only come from a faulty engine
-        small = enumerate_quotient(sym_presentation(3), max_classes=ENOUGH)
-        monkeypatch.setattr("starendo.verify.enumerate_quotient", lambda *a, **k: small)
+        small = _standardized(sym_presentation(3), ENOUGH)
+        monkeypatch.setattr("starendo.verify._standardized", lambda *a, **k: small)
         with pytest.raises(AssertionError, match="6 classes for a target of 30"):
             verify_presentation(
                 end_star_presentation(4),
@@ -635,13 +647,14 @@ class TestVerifyPresentation:
             )
 
     def test_quotient_words_are_not_built(self, monkeypatch):
-        tables = []
+        # no table object is built, so neither its rows nor its words are,
+        # and nothing reads a standardized table's tree
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built quotient rows or words")
 
-        def recorded(*args, **kwargs):
-            tables.append(enumerate_quotient(*args, **kwargs))
-            return tables[-1]
-
-        monkeypatch.setattr("starendo.verify.enumerate_quotient", recorded)
+        monkeypatch.setattr(CongruenceTable, "__init__", refuse)
+        monkeypatch.setattr("starendo.congruence._tree_edges", refuse)
+        monkeypatch.setattr("starendo.monoid._tree_edges", refuse)
         report = verify_presentation(
             end_star_presentation(4),
             enumerate_class(4, EndoClass.END),
@@ -649,7 +662,62 @@ class TestVerifyPresentation:
             max_classes=ENOUGH,
         )
         assert report.verdict is Verdict.VERIFIED
-        assert "representative_words" not in vars(tables[0])
+
+    def test_same_size_table_that_differs_from_the_walk_is_an_engine_fault(self, monkeypatch):
+        real = _standardized
+
+        def swapped(*args, **kwargs):
+            flat, size, stats = real(*args, **kwargs)
+            assert flat[0] != flat[1]
+            flat[0], flat[1] = flat[1], flat[0]
+            return flat, size, stats
+
+        monkeypatch.setattr("starendo.verify._standardized", swapped)
+        with pytest.raises(AssertionError, match="30 classes differs from the target's walk"):
+            verify_presentation(
+                end_star_presentation(4),
+                enumerate_class(4, EndoClass.END),
+                dict(standard_generators(4, EndoClass.END)),
+                max_classes=ENOUGH,
+            )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cls", ["end", "swend", "wend"])
+    def test_verified_by_the_walk_without_check(self, cls, n, monkeypatch):
+        def refuse(self, relations):
+            raise AssertionError("check ran on the verified path")
+
+        monkeypatch.setattr(CongruenceTable, "check", refuse)
+        report = verify_presentation(
+            STAR_BUILDERS[cls](n),
+            enumerate_class(n, cls),
+            dict(standard_generators(n, cls)),
+            max_classes=ENOUGH,
+        )
+        assert report.verdict is Verdict.VERIFIED
+        assert report.quotient_size == STAR_SIZES[cls][n]
+
+    def test_assignment_in_another_order_verified_by_the_closure_walk(self, monkeypatch):
+        # the alphabet reversed, and the letters renamed: the images in
+        # alphabet order are not the target's generators in their order
+        target = enumerate_class(4, EndoClass.WEAK_END)
+        pres = wend_star_presentation(4)
+        gens = dict(standard_generators(4, EndoClass.WEAK_END))
+        names = {x: f"g{i}" for i, x in enumerate(pres.alphabet)}
+        reordered = Presentation(pres.alphabet[::-1], pres.relations).relabel(names)
+        assignment = {names[x]: t for x, t in gens.items()}
+        walks = []
+        real = monoid_module._generates_exactly
+
+        def counted(*args):
+            walks.append(real(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(monoid_module, "_generates_exactly", counted)
+        report = verify_presentation(reordered, target, assignment, max_classes=ENOUGH)
+        assert report.verdict is Verdict.VERIFIED
+        assert report.quotient_size == 88
+        assert len(walks) == 1 and walks[0] != target._walk[1]
 
     def test_non_generating_assignment_is_an_error(self):
         pres = end_star_presentation(4)

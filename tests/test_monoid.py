@@ -650,6 +650,17 @@ class TestWords:
         with pytest.raises(ValueError, match="invalid degree"):
             evaluate_word({"a": identity(2)}, ("a",), degree)
 
+    @pytest.mark.parametrize("assignment", [None, 5, "ab", [("a", identity(2))], []])
+    def test_assignment_that_is_not_a_mapping(self, assignment):
+        with pytest.raises(ValueError, match="not a Mapping"):
+            evaluate_word(assignment, ("a",))
+        with pytest.raises(ValueError, match="not a Mapping"):
+            evaluate_word(assignment, (), 2)
+        with pytest.raises(ValueError, match="not a Mapping"):
+            check_relation(assignment, ("a",), ())
+        with pytest.raises(ValueError, match="not a Mapping"):
+            check_relation(assignment, (), ())
+
 
 class TestDump:
     def test_format_shape(self):
