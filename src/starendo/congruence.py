@@ -14,16 +14,16 @@ per element of the presented monoid, so the final size is exact.
 The words traced from a class are compiled once over one prefix trie
 (``presentations._compile_traces``, the one compiler, which the word-closure
 oracle runs too) into one flat segment list per relation, tracing ``u`` and
-then ``v[:-1]``, which the enumerator and ``CongruenceTable.check`` each
-walk with one loop.  A word that shares a prefix with an earlier word of the
-same scan resumes from the class that word reached at the end of the shared
-prefix, kept in a slot, and traces only the letters past it.  The HLT
-trajectory stays the same.  Re-tracing the shared prefix would define
-nothing: the earlier trace defined every entry on it, and merges never
-undefine an entry.  The re-trace would also end at the root of the saved
-class, because a merge keeps ``table[find(c)][x]`` congruent to
-``table[c][x]``.  So the classes defined, the merges, the live counts and
-the completed table are those of the plain loop.
+then ``v[:-1]``, which the enumerator walks with one loop.  A word that
+shares a prefix with an earlier word of the same scan resumes from the class
+that word reached at the end of the shared prefix, kept in a slot, and
+traces only the letters past it.  The HLT trajectory stays the same.
+Re-tracing the shared prefix would define nothing: the earlier trace defined
+every entry on it, and merges never undefine an entry.  The re-trace would
+also end at the root of the saved class, because a merge keeps
+``table[find(c)][x]`` congruent to ``table[c][x]``.  So the classes defined,
+the merges, the live counts and the completed table are those of the plain
+loop.
 
 Coincidences are merged by ``merge``, a routine written out once per
 alphabet size (``presentations._coincidence``, which the word-closure oracle
@@ -44,8 +44,9 @@ order from the class of the empty word, in one pass over the finished
 table, which makes the table deterministic regardless of merge order.
 ``enumerate_quotient`` builds its rows from that flat table and checks every
 relation at every class; ``verify`` compares the same flat table with the
-target's walk instead.  ``monoid._tree_edges`` reads the shortlex words off
-the rows' tree.
+target's walk instead.  ``CongruenceTable.check`` shares no code with the
+enumerator: it composes the table's columns.  ``monoid._tree_edges`` reads
+the shortlex words off the rows' tree.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .presentations import (
     IntWord, Presentation, Relation, Word, _coincidence, _compile_traces, _find,
     _require_presentation,
 )
+from .transform import _compose_images
 
 
 @dataclass(frozen=True)
@@ -136,33 +138,32 @@ class CongruenceTable:
         return tuple(map(pos.__getitem__, word))
 
     def check(self, relations: Sequence[Relation]) -> None:
-        """Raise AssertionError if any relation fails to hold at any class.
+        """Raise AssertionError if any relation fails to hold at any class,
+        naming the smallest class at which the first failing relation fails.
 
-        Runs the enumerator's trace programs (``_compile_traces``) through
-        the finished table.  Raises ValueError when a relation is not a pair
-        of words over the alphabet (a ``str`` is not a word).
+        Letter x's column maps each class to that class followed by x; a
+        relation holds at every class when its two sides, each its letters'
+        columns composed left to right, give one map.  Raises ValueError
+        when a relation is not a pair of words over the alphabet (a ``str``
+        is not a word).
         """
         pairs = []
         for relation in relations:
             if not isinstance(relation, (tuple, list)) or len(relation) != 2:
                 raise ValueError(f"relation {relation!r} is not a pair of words")
             pairs.append(tuple(map(self._letters, relation)))
-        n_slots, programs = _compile_traces(pairs)
-        rows = self.right_mult
-        slots = [0] * n_slots
-        for q in range(self.size):
-            slots[0] = q
-            for segments, a, b, last in programs:
-                for s, letters, t in segments:
-                    c = slots[s]
-                    for x in letters:
-                        c = rows[c][x]
-                    slots[t] = c
-                a, b = slots[a], rows[slots[b]][last]
-                if a != b:
-                    raise AssertionError(
-                        f"relation fails at class {q}: traces reach {a} and {b}"
-                    )
+        columns = [list(column) for column in zip(*self.right_mult)]
+        for sides in pairs:
+            maps = []
+            for word in sides:  # from its first column, not composed with the identity
+                image = columns[word[0]] if word else range(self.size)
+                for x in word[1:]:
+                    image = _compose_images(image, columns[x])
+                maps.append(tuple(image))
+            a, b = maps
+            if a != b:
+                q = next(q for q in range(self.size) if a[q] != b[q])
+                raise AssertionError(f"relation fails at class {q}: traces reach {a[q]} and {b[q]}")
 
 
 def _run_table_enumeration(n_letters: int, relations, cap: int):

@@ -414,8 +414,6 @@ def is_generating_set(
     """
     _require_monoid(target)
     gens = [_require_map(t, target.degree) for t in transformations]
-    if not gens:
-        return len(target) == 1
     if {t.images for t in gens} == {t.images for t in target.generators}:
         return True
     return _generating_walk(target, gens) is not None

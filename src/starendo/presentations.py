@@ -11,10 +11,11 @@ presentations (the classical Moore / Aizenstat / Popova families) and, on
 top of them, the endomorphism-type monoids of star graphs.
 
 ``_compile_traces`` turns relations over letter indices into the trace
-programs that both size engines run: the class-table enumerator and its
-``CongruenceTable.check`` in congruence.py, and the word-closure oracle in
-wordclosure.py, which imports nothing from congruence.py.  Both engines also
-merge coincident classes through the one ``merge`` routine that
+programs that both size engines run: the class-table enumerator in
+congruence.py and the word-closure oracle in wordclosure.py, which imports
+nothing from congruence.py.  ``CongruenceTable.check``, which certifies the
+enumerator's tables, composes table columns and runs no trace program.  Both
+engines also merge coincident classes through the one ``merge`` routine that
 ``_coincidence`` writes out per alphabet size, over the union-find of
 ``_find``.
 """

@@ -468,6 +468,10 @@ class TestGeneratingSets:
     def test_outsider_generator_fails(self):
         target = enumerate_class(4, EndoClass.END)
         assert not is_generating_set(target, [Transformation((0, 0, 0, 0))])
+        # no maps generate the identity alone
+        assert is_generating_set(TransformationMonoid(1, [(0,)], [], []), [])
+        assert is_generating_set(generate([("e", identity(3))]), [])
+        assert not is_generating_set(target, [])
 
 
 class TestProvenGenerators:

@@ -1,6 +1,7 @@
-"""The compiled relation traces that the quotient enumerator,
-``CongruenceTable.check`` and the word-closure oracle share, and the
-coincidence routine that both size engines merge through.
+"""The compiled relation traces that the quotient enumerator and the
+word-closure oracle share, the coincidence routine that both size engines
+merge through, and ``CongruenceTable.check``, which certifies the
+enumerator's tables without running its traces.
 
 ``expand`` runs a compiled program on words instead of classes: a slot
 holds the word traced so far, so the programs must spell out every traced
@@ -9,6 +10,7 @@ stored.
 """
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,8 +18,12 @@ from hypothesis import given, strategies as st
 
 from starendo import (
     CongruenceTable,
+    Presentation,
+    Transformation,
     end_star_presentation,
     enumerate_quotient,
+    generate,
+    verify_presentation,
     wend_star_presentation,
 )
 from starendo import congruence, presentations, wordclosure
@@ -125,8 +131,23 @@ class TestCheck:
                 rows[q][x] = (rows[q][x] + 1) % size
                 bad = replace(table, right_mult=tuple(map(tuple, rows)))
                 assert not naive_check(bad, pres.relations)
-                with pytest.raises(AssertionError):
+                with pytest.raises(AssertionError) as failure:
                     bad.check(pres.relations)
+                # the class named is one at which some relation fails
+                at = int(re.search(r"fails at class (\d+):", str(failure.value)).group(1))
+                assert any(bad.trace(u, at) != bad.trace(v, at) for u, v in pres.relations)
+
+    def test_a_faulty_trace_compiler_is_caught(self, monkeypatch):
+        # a compiler that drops the last relation leaves <a | aaa = a, aa = a>
+        # with three classes; check runs no trace program, so it sees aa != a
+        real = _compile_traces
+        monkeypatch.setattr(congruence, "_compile_traces", lambda rels: real(list(rels)[:-1]))
+        pres = Presentation(("a",), [(("a",) * 3, ("a",)), (("a", "a"), ("a",))])
+        with pytest.raises(AssertionError, match="relation fails at class"):
+            enumerate_quotient(pres, max_classes=100)
+        target = generate([("a", Transformation((0, 0)))])
+        with pytest.raises(AssertionError, match="relation fails at class"):
+            verify_presentation(pres, target, {"a": Transformation((0, 0))}, max_classes=100)
 
 
 def plain_root(parent, c):
