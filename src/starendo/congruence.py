@@ -39,6 +39,14 @@ to the entries copied.  Its queue rule is the plain loop's: pairs are
 popped last in, first out, the older root is kept, a missing entry is
 copied and a clashing one is queued.
 
+A run can also start from a finished table over the first letters of the
+alphabet, whose entries follow from the relations (``verify`` passes the
+table of a lower alphabet-prefix level).  Its classes are prefilled, and at
+them only the relations that use a later letter are traced, compiled by
+``_compile_traces`` once more; the trace loop and the renumbering are the
+plain run's.  ``enumerate_quotient`` always runs plain, so its trajectory
+stays the plain HLT one.
+
 On completion ``_standardized`` renumbers the classes in breadth-first
 order from the class of the empty word, in one pass over the finished
 table, which makes the table deterministic regardless of merge order.
@@ -72,7 +80,11 @@ class QuotientStats:
     ``classes_defined`` counts every class the table ever held (the class of
     the empty word included), ``peak_live`` is the most classes alive at once
     and ``coincidences`` is how many classes merges removed; the classes
-    left alive are ``classes_defined - coincidences``.
+    left alive are ``classes_defined - coincidences``.  A run from a
+    starting table counts only the classes it defined past the prefilled
+    ones.  In a ``verify`` report the counters are summed over the
+    alphabet-prefix levels its answer stands on, with the largest
+    ``peak_live``, so the difference is still the final or reached count.
     """
 
     classes_defined: int
@@ -166,7 +178,7 @@ class CongruenceTable:
                 raise AssertionError(f"relation fails at class {q}: traces reach {a[q]} and {b[q]}")
 
 
-def _run_table_enumeration(n_letters: int, relations, cap: int):
+def _run_table_enumeration(n_letters: int, relations, cap: int, start=None):
     """Core loop; returns (table, parent, live, stats), table None on budget.
 
     ``table`` is flat: entry ``c * n_letters + x`` is the class of c followed
@@ -184,14 +196,36 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
     after all segments, as a trace defines classes but merges none.
     Each coincidence is handed to ``merge``, built once per alphabet size
     by ``_coincidence``, which returns how many classes it removed.
+
+    ``start``, when given, is ``(flat, m, kb)``: a finished table of ``m``
+    classes over the first ``kb`` letters, entry ``q * kb + x`` the class
+    of q followed by letter x, whose entries all follow from ``relations``.
+    Its classes are prefilled as classes 0..m-1, and at them only the
+    relations that use a letter past ``kb`` are traced, compiled once more.
+    The others hold at each prefilled class when they hold in the starting
+    table (the caller's to ensure), and at its root after any merge, since
+    a merge keeps the older root and maps its entries onto roots; so tracing
+    them there would define and merge nothing.  The stats then count the
+    classes defined past the m prefilled ones.
     """
     k = n_letters
     merge = _coincidence(k)
     blank = [-1] * k
-    table = [-1] * k
-    parent = [0]
-    live = peak = 1
     n_slots, programs = _compile_traces(relations)
+    if start is None:
+        table, m, carried, prefilled = [-1] * k, 1, 0, programs
+    else:
+        flat, m, kb = start
+        table = [-1] * (m * k)
+        for x in range(kb):
+            table[x::k] = flat[x::kb]
+        carried = m
+        m_slots, prefilled = _compile_traces([
+            (u, v) for u, v in relations if any(x >= kb for x in u + v)
+        ])
+        n_slots = max(n_slots, m_slots)
+    parent = list(range(m))
+    live = peak = m
     slots = [0] * n_slots
 
     q = 0
@@ -200,7 +234,7 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
             q += 1
             continue
         slots[0] = q
-        for segments, a, b, last in programs:
+        for segments, a, b, last in prefilled if q < m else programs:
             for s, letters, t in segments:
                 c = slots[s]
                 for x in letters:
@@ -241,7 +275,7 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
                         peak = live
                     live -= merge(table, parent, a, b)
             if live > cap:
-                return None, None, live, _stats(parent, peak, live)
+                return None, None, live, _stats(parent, peak, live, carried)
             if parent[q] != q:
                 break
         else:
@@ -254,22 +288,22 @@ def _run_table_enumeration(n_letters: int, relations, cap: int):
                     table[i + x] = c
                     live += 1
             if live > cap:
-                return None, None, live, _stats(parent, peak, live)
+                return None, None, live, _stats(parent, peak, live, carried)
         q += 1
-    return table, parent, live, _stats(parent, peak, live)
+    return table, parent, live, _stats(parent, peak, live, carried)
 
 
-def _stats(parent: list[int], peak: int, live: int) -> QuotientStats:
+def _stats(parent: list[int], peak: int, live: int, carried: int) -> QuotientStats:
     return QuotientStats(
-        classes_defined=len(parent),
+        classes_defined=len(parent) - carried,
         peak_live=max(peak, live),
         coincidences=len(parent) - live,
     )
 
 
-def _standardized(pres: Presentation, max_classes: int):
+def _standardized(pres: Presentation, max_classes: int, start=None):
     """Enumerate and renumber: (flat table, live classes, stats), the table None
-    on budget.
+    on budget.  ``start`` is ``_run_table_enumeration``'s starting table.
 
     The finished table is read once, breadth-first from the class of the
     empty word with letters in alphabet order, and each class gets its
@@ -286,7 +320,7 @@ def _standardized(pres: Presentation, max_classes: int):
         (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
     ]
     k = len(pres.alphabet)
-    table, parent, live, stats = _run_table_enumeration(k, relations, max_classes)
+    table, parent, live, stats = _run_table_enumeration(k, relations, max_classes, start)
     if table is None:
         return None, live, stats
     root = _find(parent, 0)

@@ -25,6 +25,7 @@ from starendo import (
     enumerate_quotient,
     evaluate_word,
     full_transf_presentation,
+    generate,
     partial_transf_presentation,
     satisfies_relations,
     standard_generators,
@@ -36,6 +37,7 @@ from starendo import (
     Verdict,
 )
 import starendo.monoid as monoid_module
+import starendo.verify as verify_module
 from starendo.congruence import _standardized
 from starendo.verify import SOUNDNESS_NOTE
 
@@ -513,8 +515,23 @@ class TestVerifyPresentation:
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == report.target_size == 30
-        table = enumerate_quotient(end_star_presentation(4), max_classes=ENOUGH)
-        assert report.counters == table.stats
+        # the counters of the level walk: Z_2, S_3, T_3 and END_4, each run
+        # extending the table of the one before
+        pres, start, levels = end_star_presentation(4), None, []
+        for i in range(1, 5):
+            letters = set(pres.alphabet[:i])
+            level = Presentation(
+                pres.alphabet[:i], [r for r in pres.relations if set(r[0] + r[1]) <= letters]
+            )
+            flat, size, stats = _standardized(level, ENOUGH, start)
+            start = flat, size, i
+            levels.append(stats)
+        assert report.counters == QuotientStats(
+            classes_defined=sum(s.classes_defined for s in levels),
+            peak_live=max(s.peak_live for s in levels),
+            coincidences=sum(s.coincidences for s in levels),
+        )
+        assert report.counters.classes_defined - report.counters.coincidences == 30
         assert report.to_dict()["counters"] == {
             "classes_defined": report.counters.classes_defined,
             "peak_live": report.counters.peak_live,
@@ -617,7 +634,7 @@ class TestVerifyPresentation:
         # the relations hold and the images generate END_4, so a finished
         # table of fewer than 30 classes can only come from a faulty engine
         small = _standardized(sym_presentation(3), ENOUGH)
-        monkeypatch.setattr("starendo.verify._standardized", lambda *a, **k: small)
+        monkeypatch.setattr("starendo.verify._level_walk", lambda *a, **k: small)
         with pytest.raises(AssertionError, match="6 classes for a target of 30"):
             verify_presentation(
                 end_star_presentation(4),
@@ -664,7 +681,7 @@ class TestVerifyPresentation:
         assert report.verdict is Verdict.VERIFIED
 
     def test_same_size_table_that_differs_from_the_walk_is_an_engine_fault(self, monkeypatch):
-        real = _standardized
+        real = verify_module._level_walk
 
         def swapped(*args, **kwargs):
             flat, size, stats = real(*args, **kwargs)
@@ -672,7 +689,7 @@ class TestVerifyPresentation:
             flat[0], flat[1] = flat[1], flat[0]
             return flat, size, stats
 
-        monkeypatch.setattr("starendo.verify._standardized", swapped)
+        monkeypatch.setattr("starendo.verify._level_walk", swapped)
         with pytest.raises(AssertionError, match="30 classes differs from the target's walk"):
             verify_presentation(
                 end_star_presentation(4),
@@ -748,3 +765,94 @@ class TestVerifyPresentation:
             for i, letter in enumerate(table.alphabet):
                 lhs = values[q] * assignment[letter]
                 assert lhs == values[table.right_mult[q][i]]
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty store of prefix tables for the test, the process's one restored after."""
+    tables = {}
+    monkeypatch.setattr(verify_module, "_PREFIX_TABLES", tables)
+    return tables
+
+
+def verify_star(cls, n, max_classes, pres=None):
+    return verify_presentation(
+        STAR_BUILDERS[cls](n) if pres is None else pres,
+        enumerate_class(n, cls),
+        dict(standard_generators(n, cls)),
+        max_classes=max_classes,
+    )
+
+
+class TestLevelWalk:
+    @pytest.mark.parametrize(
+        "cls,n", [(c, n) for c in STAR_BUILDERS for n in (3, 4, 5)] + [("end", 6)]
+    )
+    def test_table_equals_the_plain_table(self, cls, n, store):
+        pres = STAR_BUILDERS[cls](n)
+        flat, size, counters = verify_module._level_walk(pres, ENOUGH)
+        plain, plain_size, _ = _standardized(pres, ENOUGH)
+        assert flat == plain
+        assert size == plain_size == STAR_SIZES[cls][n]
+        assert counters.classes_defined - counters.coincidences == size
+        # the proper levels are kept, and reusing them gives the same table
+        assert store
+        assert verify_module._level_walk(pres, ENOUGH)[:2] == (flat, size)
+
+    @pytest.mark.parametrize("n,cap", [(4, 8192), (5, 8288)])
+    def test_weakened_presentation_has_the_plain_verdict(self, n, cap, store):
+        plain = enumerate_quotient(without_zz(n), max_classes=cap)
+        report = verify_star("end", n, cap, without_zz(n))
+        if isinstance(plain, QuotientExceeded):
+            assert report.verdict is Verdict.INCONCLUSIVE_BUDGET
+        else:
+            assert report.verdict is Verdict.REFUTED_SIZE
+            assert report.quotient_size == plain.size
+        counters = report.counters
+        assert counters.classes_defined - counters.coincidences == report.classes_reached
+
+    def test_no_report_depends_on_the_store(self, store):
+        # 150 finishes S_4 and runs out on T_4; 3900 runs out on T_4, whose
+        # run peaks at 3,997 live classes, and then on END_5 from S_4
+        budgets = (ENOUGH, 150, 3900)
+        fresh = {}
+        for cap in budgets:
+            store.clear()
+            fresh[cap] = verify_star("end", 5, cap)
+        assert fresh[ENOUGH].verdict is Verdict.VERIFIED
+        assert fresh[150].verdict is fresh[3900].verdict is Verdict.INCONCLUSIVE_BUDGET
+        store.clear()
+        for cls in ("end", "swend", "wend"):
+            verify_star(cls, 5, ENOUGH)
+        assert store
+        for cap in budgets:
+            assert verify_star("end", 5, cap) == fresh[cap]
+
+    def test_infinite_prefix_falls_back(self, store, monkeypatch):
+        # <a, b, c | ab = ba, a = cc, b = ccc, c^6 = 1> is the cyclic group
+        # of order 6, though its prefix <a, b | ab = ba> is infinite and
+        # <a | > has a letter in no relation
+        pres = Presentation(
+            ("a", "b", "c"),
+            [(("a", "b"), ("b", "a")), (("a",), ("c", "c")), (("b",), ("c",) * 3),
+             (("c",) * 6, ())],
+        )
+        c = Transformation((1, 2, 3, 4, 5, 0))
+        target = generate([("c", c)])
+        runs = []
+        real = verify_module._standardized
+
+        def counted(level, *args, **kwargs):
+            runs.append(level.alphabet)
+            return real(level, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "_standardized", counted)
+        report = verify_presentation(
+            pres, target, {"a": c * c, "b": c * c * c, "c": c}, max_classes=1000
+        )
+        assert report.verdict is Verdict.VERIFIED
+        assert report.quotient_size == 6
+        assert runs == [("a", "b"), ("a", "b", "c")]
+        assert not store  # the prefix that ran out is not kept
+        counters = report.counters
+        assert counters.classes_defined - counters.coincidences == 6
