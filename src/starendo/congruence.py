@@ -40,12 +40,10 @@ popped last in, first out, the older root is kept, a missing entry is
 copied and a clashing one is queued.
 
 A run can also start from a finished table over the first letters of the
-alphabet, whose entries follow from the relations (``verify`` passes the
-table of a lower alphabet-prefix level).  Its classes are prefilled, and at
-them only the relations that use a later letter are traced, compiled by
-``_compile_traces`` once more; the trace loop and the renumbering are the
-plain run's.  ``enumerate_quotient`` always runs plain, so its trajectory
-stays the plain HLT one.
+alphabet (``verify`` passes the table of a lower alphabet-prefix level).
+Its classes are prefilled, and at them only the relations that use a later
+letter are traced; the trace loop and the renumbering are the plain run's.
+``enumerate_quotient`` always runs plain.
 
 On completion ``_standardized`` renumbers the classes in breadth-first
 order from the class of the empty word, in one pass over the finished
@@ -199,14 +197,13 @@ def _run_table_enumeration(n_letters: int, relations, cap: int, start=None):
 
     ``start``, when given, is ``(flat, m, kb)``: a finished table of ``m``
     classes over the first ``kb`` letters, entry ``q * kb + x`` the class
-    of q followed by letter x, whose entries all follow from ``relations``.
-    Its classes are prefilled as classes 0..m-1, and at them only the
-    relations that use a letter past ``kb`` are traced, compiled once more.
-    The others hold at each prefilled class when they hold in the starting
-    table (the caller's to ensure), and at its root after any merge, since
-    a merge keeps the older root and maps its entries onto roots; so tracing
-    them there would define and merge nothing.  The stats then count the
-    classes defined past the m prefilled ones.
+    of q followed by letter x.  The caller must see that its entries follow
+    from ``relations`` and that the relations over the first ``kb`` letters
+    hold at each of its classes (the README's level walk says why that
+    suffices).  Its classes are prefilled as classes 0..m-1, and at them
+    only the relations that use a letter past ``kb`` are traced, compiled
+    once more.  The stats then count the classes defined past the m
+    prefilled ones.
     """
     k = n_letters
     merge = _coincidence(k)

@@ -18,18 +18,10 @@ fault and raises AssertionError.  A larger one is checked against every
 relation before it refutes the size.
 
 The finished table comes from ``_level_walk``, which enumerates by
-alphabet-prefix levels: level i is the presentation of the relations whose
-letters all lie in the first i letters, and each level's run extends the
-finished table of the longest finished level below it.  For the star
-builders the levels are Z_2, S_(n-1), T_(n-1), then END_n (and SWEND_n), or
-PT_(n-1) and WEND_n.  Every level's relations are some of the
-presentation's, so every entry of a level's table is a consequence of the
-presentation, and the prefilled classes are sound classes to extend; the
-relations of the level below hold at each prefilled class, and at its root
-after any merge, so the extension traces only the newer relations there.
-The certificate is unchanged: it is the equality above, of the last
-level's table.  Finished proper levels are kept for the life of the
-process.
+alphabet-prefix levels (for the star builders Z_2, S_(n-1), T_(n-1), then
+END_n and SWEND_n, or PT_(n-1) and WEND_n), each level's run extending the
+finished table of the level below; the README gives the soundness argument.
+The certificate is the equality above, of the last level's table.
 """
 
 from __future__ import annotations
@@ -116,52 +108,43 @@ def satisfies_relations(
     return not failures, failures
 
 
-# Finished tables of proper alphabet prefixes, kept for the life of the
-# process: (prefix alphabet, its relations, length of the prefix whose table
-# the run extended, 0 for none) -> (flat table, classes, stats).
-_PREFIX_TABLES: dict = {}
+# A proper level's run is capped at this many times the target's size.  The
+# star builders' proper levels peak at 6 to 25 times it (T_3 under END_4 to
+# T_6 under END_7), so the cap lets them finish, and it bounds what a level
+# that presents an infinite monoid costs before it is given up.
+LEVEL_CAP_FACTOR = 64
 
 
-def _level_walk(pres: Presentation, max_classes: int):
+def _level_walk(pres: Presentation, max_classes: int, level_cap: int):
     """The finished, standardized quotient table by alphabet-prefix levels:
     (flat table, live classes, counters), the table None on budget.
 
     Level i is the presentation of the relations whose letters all lie in
-    the first i letters of the alphabet.  Each level's run starts from the
-    finished table of the longest finished level below it, and the last
-    level is ``pres`` itself.  A proper level in which some letter occurs
-    in no relation presents an infinite monoid and is skipped without a
-    run; one that runs out of ``max_classes`` is skipped after its run.  A
-    level's relations are some of ``pres``'s, so every entry of its table
-    follows from ``pres``, and its relations hold at every class of that
-    table, which the next level extends.  The counters sum
+    the first i letters of the alphabet, and the last level is ``pres``
+    itself, run under ``max_classes``.  Each proper level runs under
+    ``level_cap`` from the last finished table below it, and is
+    skipped without a run when some letter occurs in none of its relations
+    (its monoid is then infinite).  The first proper level that runs out of
+    ``level_cap`` ends the walk: ``pres`` then runs from the last finished
+    table.  The README gives the soundness argument.  The counters sum
     ``classes_defined`` and ``coincidences`` and take the largest
     ``peak_live`` over the levels the table stands on, so
     ``classes_defined - coincidences`` is its live count.
-
-    Finished proper levels are kept in ``_PREFIX_TABLES``.  A kept level is
-    reused only when its ``peak_live`` is at most ``max_classes``; a run
-    then would finish with the same table and counters, so no result
-    depends on what ran earlier in the process.
     """
     pos = {x: i for i, x in enumerate(pres.alphabet)}
     reach = [max(map(pos.__getitem__, u + v), default=-1) for u, v in pres.relations]
-    levels, start, below = [], None, 0
+    levels, start = [], None
     for i in range(1, len(pres.alphabet)):
-        relations = tuple(r for r, top in zip(pres.relations, reach) if top < i)
+        relations = [r for r, top in zip(pres.relations, reach) if top < i]
         if len({x for u, v in relations for x in u + v}) < i:
             continue
-        key = (pres.alphabet[:i], relations, below)
-        kept = _PREFIX_TABLES.get(key)
-        if kept is None or kept[2].peak_live > max_classes:
-            level = Presentation(pres.alphabet[:i], relations)
-            kept = _standardized(level, max_classes, start)
-            if kept[0] is None:
-                continue
-            _PREFIX_TABLES[key] = kept
-        flat, size, stats = kept
+        flat, size, stats = _standardized(
+            Presentation(pres.alphabet[:i], relations), level_cap, start
+        )
+        if flat is None:
+            break
         levels.append(stats)
-        start, below = (flat, size, i), i
+        start = flat, size, i
     flat, size, stats = _standardized(pres, max_classes, start)
     levels.append(stats)
     return flat, size, QuotientStats(
@@ -214,7 +197,10 @@ def verify_presentation(
 
     target_size = len(target)
     ok, failures = satisfies_relations(assignment, pres)
-    flat, size, stats = _level_walk(pres, max_classes) if ok else (None, None, None)
+    level_cap = min(max_classes, LEVEL_CAP_FACTOR * target_size)
+    flat, size, stats = (
+        _level_walk(pres, max_classes, level_cap) if ok else (None, None, None)
+    )
     if not ok:
         verdict, quotient_size, classes_reached = Verdict.REFUTED_RELATIONS, None, None
     elif flat is None:

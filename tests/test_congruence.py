@@ -515,21 +515,10 @@ class TestVerifyPresentation:
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == report.target_size == 30
-        # the counters of the level walk: Z_2, S_3, T_3 and END_4, each run
-        # extending the table of the one before
-        pres, start, levels = end_star_presentation(4), None, []
-        for i in range(1, 5):
-            letters = set(pres.alphabet[:i])
-            level = Presentation(
-                pres.alphabet[:i], [r for r in pres.relations if set(r[0] + r[1]) <= letters]
-            )
-            flat, size, stats = _standardized(level, ENOUGH, start)
-            start = flat, size, i
-            levels.append(stats)
+        # the level walk's counters, summed over Z_2, S_3, T_3 and END_4
+        # (the largest peak is T_3's); plain HLT gives (777, 210, 747)
         assert report.counters == QuotientStats(
-            classes_defined=sum(s.classes_defined for s in levels),
-            peak_live=max(s.peak_live for s in levels),
-            coincidences=sum(s.coincidences for s in levels),
+            classes_defined=774, peak_live=173, coincidences=744
         )
         assert report.counters.classes_defined - report.counters.coincidences == 30
         assert report.to_dict()["counters"] == {
@@ -767,14 +756,6 @@ class TestVerifyPresentation:
                 assert lhs == values[table.right_mult[q][i]]
 
 
-@pytest.fixture
-def store(monkeypatch):
-    """An empty store of prefix tables for the test, the process's one restored after."""
-    tables = {}
-    monkeypatch.setattr(verify_module, "_PREFIX_TABLES", tables)
-    return tables
-
-
 def verify_star(cls, n, max_classes, pres=None):
     return verify_presentation(
         STAR_BUILDERS[cls](n) if pres is None else pres,
@@ -784,23 +765,34 @@ def verify_star(cls, n, max_classes, pres=None):
     )
 
 
+def counted_runs(monkeypatch):
+    """Record (alphabet, class cap, finished) of every run ``verify`` makes."""
+    runs = []
+    real = verify_module._standardized
+
+    def counted(level, cap, *args):
+        result = real(level, cap, *args)
+        runs.append((level.alphabet, cap, result[0] is not None))
+        return result
+
+    monkeypatch.setattr(verify_module, "_standardized", counted)
+    return runs
+
+
 class TestLevelWalk:
     @pytest.mark.parametrize(
         "cls,n", [(c, n) for c in STAR_BUILDERS for n in (3, 4, 5)] + [("end", 6)]
     )
-    def test_table_equals_the_plain_table(self, cls, n, store):
+    def test_table_equals_the_plain_table(self, cls, n):
         pres = STAR_BUILDERS[cls](n)
-        flat, size, counters = verify_module._level_walk(pres, ENOUGH)
+        flat, size, counters = verify_module._level_walk(pres, ENOUGH, ENOUGH)
         plain, plain_size, _ = _standardized(pres, ENOUGH)
         assert flat == plain
         assert size == plain_size == STAR_SIZES[cls][n]
         assert counters.classes_defined - counters.coincidences == size
-        # the proper levels are kept, and reusing them gives the same table
-        assert store
-        assert verify_module._level_walk(pres, ENOUGH)[:2] == (flat, size)
 
     @pytest.mark.parametrize("n,cap", [(4, 8192), (5, 8288)])
-    def test_weakened_presentation_has_the_plain_verdict(self, n, cap, store):
+    def test_weakened_presentation_has_the_plain_verdict(self, n, cap):
         plain = enumerate_quotient(without_zz(n), max_classes=cap)
         report = verify_star("end", n, cap, without_zz(n))
         if isinstance(plain, QuotientExceeded):
@@ -811,24 +803,19 @@ class TestLevelWalk:
         counters = report.counters
         assert counters.classes_defined - counters.coincidences == report.classes_reached
 
-    def test_no_report_depends_on_the_store(self, store):
-        # 150 finishes S_4 and runs out on T_4; 3900 runs out on T_4, whose
-        # run peaks at 3,997 live classes, and then on END_5 from S_4
-        budgets = (ENOUGH, 150, 3900)
-        fresh = {}
-        for cap in budgets:
-            store.clear()
-            fresh[cap] = verify_star("end", 5, cap)
-        assert fresh[ENOUGH].verdict is Verdict.VERIFIED
-        assert fresh[150].verdict is fresh[3900].verdict is Verdict.INCONCLUSIVE_BUDGET
-        store.clear()
-        for cls in ("end", "swend", "wend"):
-            verify_star(cls, 5, ENOUGH)
-        assert store
-        for cap in budgets:
-            assert verify_star("end", 5, cap) == fresh[cap]
+    @pytest.mark.parametrize("cls", list(STAR_BUILDERS))
+    def test_every_star_level_finishes_under_the_level_cap(self, cls, monkeypatch):
+        runs = counted_runs(monkeypatch)
+        assert verify_star(cls, 5, ENOUGH).verdict is Verdict.VERIFIED
+        pres = STAR_BUILDERS[cls](5)
+        assert [alphabet for alphabet, _, _ in runs] == [
+            pres.alphabet[:i] for i in range(1, len(pres.alphabet) + 1)
+        ]
+        assert all(finished for _, _, finished in runs)
+        cap = verify_module.LEVEL_CAP_FACTOR * STAR_SIZES[cls][5]
+        assert [c for _, c, _ in runs] == [cap] * (len(runs) - 1) + [ENOUGH]
 
-    def test_infinite_prefix_falls_back(self, store, monkeypatch):
+    def test_infinite_prefix_falls_back(self, monkeypatch):
         # <a, b, c | ab = ba, a = cc, b = ccc, c^6 = 1> is the cyclic group
         # of order 6, though its prefix <a, b | ab = ba> is infinite and
         # <a | > has a letter in no relation
@@ -839,20 +826,24 @@ class TestLevelWalk:
         )
         c = Transformation((1, 2, 3, 4, 5, 0))
         target = generate([("c", c)])
-        runs = []
-        real = verify_module._standardized
-
-        def counted(level, *args, **kwargs):
-            runs.append(level.alphabet)
-            return real(level, *args, **kwargs)
-
-        monkeypatch.setattr(verify_module, "_standardized", counted)
+        runs = counted_runs(monkeypatch)
         report = verify_presentation(
             pres, target, {"a": c * c, "b": c * c * c, "c": c}, max_classes=1000
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == 6
-        assert runs == [("a", "b"), ("a", "b", "c")]
-        assert not store  # the prefix that ran out is not kept
+        level_cap = verify_module.LEVEL_CAP_FACTOR * 6
+        assert runs == [(("a", "b"), level_cap, False), (("a", "b", "c"), 1000, True)]
         counters = report.counters
         assert counters.classes_defined - counters.coincidences == 6
+
+    def test_infinite_prefixes_cost_one_capped_run(self, monkeypatch):
+        # WEND_4 with its alphabet reversed: <z> has a letter in no
+        # relation, and <z, c0>, <z, c0, e0> and <z, c0, e0, b0> are infinite
+        pres = Presentation(wend_star_presentation(4).alphabet[::-1],
+                            wend_star_presentation(4).relations)
+        runs = counted_runs(monkeypatch)
+        report = verify_star("wend", 4, ENOUGH, pres)
+        assert report.verdict is Verdict.VERIFIED
+        level_cap = verify_module.LEVEL_CAP_FACTOR * 88
+        assert runs == [(pres.alphabet[:2], level_cap, False), (pres.alphabet, ENOUGH, True)]
