@@ -22,6 +22,22 @@ alphabet-prefix levels (for the star builders Z_2, S_(n-1), T_(n-1), then
 END_n and SWEND_n, or PT_(n-1) and WEND_n), each level's run extending the
 finished table of the level below; the README gives the soundness argument.
 The certificate is the equality above, of the last level's table.
+
+Before any enumeration, a presentation whose relations hold on the
+generators is searched for a relation-invariant weight (Book and Otto,
+*String-Rewriting Systems*, ch. 2): a map w from letters to Q with
+w(u) = w(v) for every relation u = v and w(x) != 0 for some letter x.
+Extended additively to words, w is constant on each congruence class, since
+replacing a side of a relation inside a word keeps its sum, so it is a
+homomorphism from the presented monoid onto a submonoid of (Q, +).  The
+words x^k map to the distinct k*w(x), so the presented monoid is infinite
+and cannot be the finite target: ``refuted-size``, with no enumeration.  The
+weight is found by exact elimination over ``Fraction``s and recounted on
+every relation by a checker that shares no code with the search; a weight
+that fails the recount is an engine fault and raises AssertionError.  The
+same test skips the proper levels of the walk that present infinite
+monoids.  A presentation with no weight may still be infinite, and then
+ends ``inconclusive-budget`` when its run fills the class budget.
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .congruence import QuotientStats, _checked_table, _standardized
@@ -61,6 +78,7 @@ _NOTE_PREFIX = {
     Verdict.REFUTED_SIZE: "quotient enumeration finished above the target size; ",
     Verdict.INCONCLUSIVE_BUDGET: "class budget exhausted before enumeration finished; ",
 }
+_WEIGHT_NOTE_PREFIX = "a relation-invariant weight proves the quotient infinite; "
 
 
 @dataclass(frozen=True)
@@ -75,14 +93,22 @@ class VerificationReport:
     verdict: Verdict
     note: str
     counters: Optional[QuotientStats] = None  # None when no enumeration ran
+    # the relation-invariant weight that proves the quotient infinite, letters
+    # of weight 0 left out; None when none was found
+    weight: Optional[dict[str, Fraction]] = None
 
     def to_dict(self) -> dict:
-        """The fields in order, with the verdict as its value and the
-        quotient size as ``"exceeded"`` when the class budget ran out."""
+        """The fields in order, with the verdict as its value, the quotient
+        size as ``"exceeded"`` when the class budget ran out and as
+        ``"infinite"`` when a weight proves it, and the weight's values as
+        strings such as ``"1"`` or ``"-1/2"``."""
         report = asdict(self)
         report["verdict"] = self.verdict.value
         if self.verdict is Verdict.INCONCLUSIVE_BUDGET:
             report["quotient_size"] = "exceeded"
+        if self.weight is not None:
+            report["quotient_size"] = "infinite"
+            report["weight"] = {x: str(w) for x, w in self.weight.items()}
         return report
 
 
@@ -108,6 +134,73 @@ def satisfies_relations(
     return not failures, failures
 
 
+def _find_weight(pres: Presentation) -> Optional[dict[str, Fraction]]:
+    """A relation-invariant weight of ``pres``, letters of weight 0 left out,
+    or None when the zero map is the only one.
+
+    Each relation u = v is the row of count(x in u) - count(x in v) over the
+    letters x; a weight is a nonzero vector of the rows' null space.  Gaussian
+    elimination over ``Fraction``s brings the distinct nonzero rows to
+    reduced echelon form, which does not depend on their order; the first
+    column without a pivot gets weight 1, every later one 0, and each
+    pivot's letter is solved from its row.
+    """
+    col = {x: i for i, x in enumerate(pres.alphabet)}
+    distinct = set()
+    for u, v in pres.relations:
+        row = [0] * len(col)
+        for x in u:
+            row[col[x]] += 1
+        for x in v:
+            row[col[x]] -= 1
+        if any(row):
+            distinct.add(tuple(row))
+    rows = [[Fraction(a) for a in row] for row in distinct]
+    pivots = []  # pivots[i] is the column of row i's leading 1
+    for c in range(len(col)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        lead = rows[r][c]
+        rows[r] = [a / lead for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                factor = row[c]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    free = next((c for c in range(len(col)) if c not in pivots), None)
+    if free is None:
+        return None
+    weight = {pres.alphabet[free]: Fraction(1)}
+    for row, c in zip(rows, pivots):
+        if row[free]:
+            weight[pres.alphabet[c]] = -row[free]
+    return weight
+
+
+def _check_weight(pres: Presentation, weight: Mapping[str, Fraction]) -> None:
+    """Raise AssertionError unless ``weight`` (letter -> value, missing
+    letters 0) gives both sides of every relation of ``pres`` one sum and
+    some letter a nonzero value.  Independent of ``_find_weight``."""
+    if not set(weight) <= set(pres.alphabet):
+        raise AssertionError(f"weight {weight} names letters outside {pres.alphabet}")
+    if all(w == 0 for w in weight.values()):
+        raise AssertionError(f"weight {weight} is zero on every letter")
+    for u, v in pres.relations:
+        if sum(weight.get(x, 0) for x in u) != sum(weight.get(x, 0) for x in v):
+            raise AssertionError(f"weight {weight} differs on the sides of {u} = {v}")
+
+
+def _certified_weight(pres: Presentation) -> Optional[dict[str, Fraction]]:
+    """``_find_weight(pres)``, recounted by ``_check_weight`` when found."""
+    weight = _find_weight(pres)
+    if weight is not None:
+        _check_weight(pres, weight)
+    return weight
+
+
 # A proper level's run is capped at this many times the target's size.  The
 # star builders' proper levels peak at 6 to 25 times it (T_3 under END_4 to
 # T_6 under END_7), so the cap lets them finish, and it bounds what a level
@@ -123,8 +216,8 @@ def _level_walk(pres: Presentation, max_classes: int, level_cap: int):
     the first i letters of the alphabet, and the last level is ``pres``
     itself, run under ``max_classes``.  Each proper level runs under
     ``level_cap`` from the last finished table below it, and is
-    skipped without a run when some letter occurs in none of its relations
-    (its monoid is then infinite).  The first proper level that runs out of
+    skipped without a run when it has a relation-invariant weight (its
+    monoid is then infinite).  The first proper level that runs out of
     ``level_cap`` ends the walk: ``pres`` then runs from the last finished
     table.  The README gives the soundness argument.  The counters sum
     ``classes_defined`` and ``coincidences`` and take the largest
@@ -135,12 +228,12 @@ def _level_walk(pres: Presentation, max_classes: int, level_cap: int):
     reach = [max(map(pos.__getitem__, u + v), default=-1) for u, v in pres.relations]
     levels, start = [], None
     for i in range(1, len(pres.alphabet)):
-        relations = [r for r, top in zip(pres.relations, reach) if top < i]
-        if len({x for u, v in relations for x in u + v}) < i:
-            continue
-        flat, size, stats = _standardized(
-            Presentation(pres.alphabet[:i], relations), level_cap, start
+        level = Presentation(
+            pres.alphabet[:i], [r for r, top in zip(pres.relations, reach) if top < i]
         )
+        if _certified_weight(level) is not None:
+            continue
+        flat, size, stats = _standardized(level, level_cap, start)
         if flat is None:
             break
         levels.append(stats)
@@ -180,7 +273,10 @@ def verify_presentation(
     target's size that differs from the walk, or one smaller than the
     target, is an engine fault and raises AssertionError.  A larger table is
     built and checked against every relation before it is ``refuted-size``.
-    The table and the counters are ``_level_walk``'s.
+    The table and the counters are ``_level_walk``'s.  When the relations
+    hold and ``_certified_weight`` finds a weight, the verdict is
+    ``refuted-size`` with that weight, no enumeration runs, and the size, the
+    classes reached and the counters are None.
     """
     _require_presentation(pres)
     _require_count("max_classes", max_classes)
@@ -197,12 +293,15 @@ def verify_presentation(
 
     target_size = len(target)
     ok, failures = satisfies_relations(assignment, pres)
-    level_cap = min(max_classes, LEVEL_CAP_FACTOR * target_size)
-    flat, size, stats = (
-        _level_walk(pres, max_classes, level_cap) if ok else (None, None, None)
-    )
+    weight = _certified_weight(pres) if ok else None
+    flat = size = stats = None
+    if ok and weight is None:
+        level_cap = min(max_classes, LEVEL_CAP_FACTOR * target_size)
+        flat, size, stats = _level_walk(pres, max_classes, level_cap)
     if not ok:
         verdict, quotient_size, classes_reached = Verdict.REFUTED_RELATIONS, None, None
+    elif weight is not None:
+        verdict, quotient_size, classes_reached = Verdict.REFUTED_SIZE, None, None
     elif flat is None:
         verdict, quotient_size, classes_reached = Verdict.INCONCLUSIVE_BUDGET, None, size
     elif size < target_size:
@@ -227,6 +326,8 @@ def verify_presentation(
         classes_reached=classes_reached,
         target_size=target_size,
         verdict=verdict,
-        note=_NOTE_PREFIX[verdict] + SOUNDNESS_NOTE,
+        note=(_NOTE_PREFIX[verdict] if weight is None else _WEIGHT_NOTE_PREFIX)
+        + SOUNDNESS_NOTE,
         counters=stats,
+        weight=weight,
     )

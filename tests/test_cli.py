@@ -110,6 +110,15 @@ class TestVerify:
             "relations_satisfied: True\n"
         )
 
+    @pytest.mark.parametrize("cls,size", [("end", 260), ("swend", 265), ("wend", 689)])
+    def test_text_output_of_every_star_class(self, capsys, cls, size):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--class", cls)
+        assert code == 0
+        assert out == (
+            f"verdict: verified\nquotient_size: {size}\ntarget_size: {size}\n"
+            "relations_satisfied: True\n"
+        )
+
     def test_json_counters(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "4", "--class", "end", "--json")
         assert code == 0

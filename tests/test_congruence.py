@@ -8,10 +8,13 @@ both give the same table on every completed run and stop at the same live
 count on every budget-limited one.
 """
 
+import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from starendo import (
     CongruenceTable,
@@ -178,6 +181,15 @@ def without_zz(n):
     kept = tuple(r for r in pres.relations if r != dropped)
     assert len(kept) == len(pres.relations) - 1
     return Presentation(pres.alphabet, kept)
+
+
+# <a, b, c | ab = ba, a = cc, b = ccc, c^6 = 1>, the cyclic group of order 6
+CYCLIC_6 = Presentation(
+    ("a", "b", "c"),
+    [(("a", "b"), ("b", "a")), (("a",), ("c", "c")), (("b",), ("c",) * 3), (("c",) * 6, ())],
+)
+# <a, b | aa = b>, whose weights are the multiples of w(a) = 1/2, w(b) = 1
+SQUARE = Presentation(("a", "b"), [(("a", "a"), ("b",))])
 
 
 def drawn_presentations(min_letters, max_letters):
@@ -793,15 +805,13 @@ class TestLevelWalk:
 
     @pytest.mark.parametrize("n,cap", [(4, 8192), (5, 8288)])
     def test_weakened_presentation_has_the_plain_verdict(self, n, cap):
-        plain = enumerate_quotient(without_zz(n), max_classes=cap)
+        # plain HLT runs out of the cap; verify proves the quotient infinite
+        # by the weight w(z) = 1 before any enumeration
+        assert isinstance(enumerate_quotient(without_zz(n), max_classes=cap), QuotientExceeded)
         report = verify_star("end", n, cap, without_zz(n))
-        if isinstance(plain, QuotientExceeded):
-            assert report.verdict is Verdict.INCONCLUSIVE_BUDGET
-        else:
-            assert report.verdict is Verdict.REFUTED_SIZE
-            assert report.quotient_size == plain.size
-        counters = report.counters
-        assert counters.classes_defined - counters.coincidences == report.classes_reached
+        assert report.verdict is Verdict.REFUTED_SIZE
+        assert report.weight == {"z": 1}
+        assert report.counters is None
 
     @pytest.mark.parametrize("cls", list(STAR_BUILDERS))
     def test_every_star_level_finishes_under_the_level_cap(self, cls, monkeypatch):
@@ -817,23 +827,17 @@ class TestLevelWalk:
 
     def test_infinite_prefix_falls_back(self, monkeypatch):
         # <a, b, c | ab = ba, a = cc, b = ccc, c^6 = 1> is the cyclic group
-        # of order 6, though its prefix <a, b | ab = ba> is infinite and
-        # <a | > has a letter in no relation
-        pres = Presentation(
-            ("a", "b", "c"),
-            [(("a", "b"), ("b", "a")), (("a",), ("c", "c")), (("b",), ("c",) * 3),
-             (("c",) * 6, ())],
-        )
+        # of order 6; its prefixes <a | > and <a, b | ab = ba> have weights,
+        # so neither runs
         c = Transformation((1, 2, 3, 4, 5, 0))
         target = generate([("c", c)])
         runs = counted_runs(monkeypatch)
         report = verify_presentation(
-            pres, target, {"a": c * c, "b": c * c * c, "c": c}, max_classes=1000
+            CYCLIC_6, target, {"a": c * c, "b": c * c * c, "c": c}, max_classes=1000
         )
         assert report.verdict is Verdict.VERIFIED
         assert report.quotient_size == 6
-        level_cap = verify_module.LEVEL_CAP_FACTOR * 6
-        assert runs == [(("a", "b"), level_cap, False), (("a", "b", "c"), 1000, True)]
+        assert runs == [(("a", "b", "c"), 1000, True)]
         counters = report.counters
         assert counters.classes_defined - counters.coincidences == 6
 
@@ -847,3 +851,113 @@ class TestLevelWalk:
         assert report.verdict is Verdict.VERIFIED
         level_cap = verify_module.LEVEL_CAP_FACTOR * 88
         assert runs == [(pres.alphabet[:2], level_cap, False), (pres.alphabet, ENOUGH, True)]
+
+
+class TestWeight:
+    def test_found_weights(self):
+        assert verify_module._find_weight(without_zz(4)) == {"z": 1}
+        assert verify_module._find_weight(SQUARE) == {"a": Fraction(1, 2), "b": 1}
+        assert verify_module._find_weight(Presentation(("a", "b"), [])) == {"a": 1}
+
+    @pytest.mark.parametrize("corrupt", [
+        # the 1 moved from z to e0: e0 z = z counts 1 against 0
+        lambda w: {"e0": w["z"]},
+        # every entry zero, written out or left out
+        lambda w: {x: 0 * v for x, v in w.items()},
+        lambda w: {},
+    ])
+    def test_checker_rejects_a_corrupted_end_weight(self, corrupt):
+        pres = without_zz(4)
+        weight = verify_module._find_weight(pres)
+        verify_module._check_weight(pres, weight)
+        with pytest.raises(AssertionError):
+            verify_module._check_weight(pres, corrupt(weight))
+
+    def test_checker_rejects_one_scaled_entry(self):
+        # END's weight has one nonzero entry, and every multiple of it is a
+        # weight; SQUARE's ties two letters, so scaling one breaks aa = b
+        weight = verify_module._find_weight(SQUARE)
+        verify_module._check_weight(SQUARE, weight)
+        for x in weight:
+            with pytest.raises(AssertionError, match="differs on the sides"):
+                verify_module._check_weight(SQUARE, {**weight, x: 3 * weight[x]})
+
+    def test_checker_rejects_letters_outside_the_alphabet(self):
+        with pytest.raises(AssertionError, match="outside"):
+            verify_module._check_weight(without_zz(4), {"z": 1, "y": 1})
+
+    def test_weight_that_fails_the_recount_is_an_engine_fault(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "_find_weight", lambda pres: {"e0": Fraction(1)})
+        with pytest.raises(AssertionError, match="differs on the sides"):
+            verify_star("end", 4, ENOUGH, without_zz(4))
+
+    @pytest.mark.parametrize("cls,n", [(c, n) for c in STAR_BUILDERS for n in range(3, 8)])
+    def test_star_presentations_have_no_weight(self, cls, n):
+        assert verify_module._find_weight(STAR_BUILDERS[cls](n)) is None
+
+    def test_cyclic_group_has_no_weight(self):
+        assert verify_module._find_weight(CYCLIC_6) is None
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_end_without_zz_refuted_in_milliseconds(self, n, monkeypatch):
+        pres, target = without_zz(n), enumerate_class(n, EndoClass.END)
+        gens = dict(standard_generators(n, EndoClass.END))
+        times = []
+        real = verify_module._certified_weight
+
+        def timed(level):
+            t0 = time.perf_counter()
+            weight = real(level)
+            times.append(time.perf_counter() - t0)
+            return weight
+
+        monkeypatch.setattr(verify_module, "_certified_weight", timed)
+        report = verify_presentation(pres, target, gens, max_classes=ENOUGH)
+        assert report.verdict is Verdict.REFUTED_SIZE
+        assert report.weight == {"z": 1}
+        assert report.quotient_size is report.classes_reached is report.counters is None
+        assert report.note.startswith(
+            "a relation-invariant weight proves the quotient infinite; "
+        )
+        assert len(times) == 1 and times[0] < 0.010, times
+
+    @settings(deadline=None)
+    @given(drawn_presentations(2, 3))
+    def test_weight_and_a_finished_table_exclude_each_other(self, pres):
+        # a weight proves the quotient infinite, so HLT cannot finish it, and
+        # a finished table proves it finite, so it has no weight
+        weight = verify_module._certified_weight(pres)
+        result = enumerate_quotient(pres, max_classes=2000)
+        if weight is not None:
+            assert isinstance(result, QuotientExceeded)
+        if isinstance(result, CongruenceTable):
+            assert weight is None
+
+
+class TestReportToJson:
+    def test_every_verdict_dumps_as_json(self):
+        end3, end4 = enumerate_class(3, EndoClass.END), enumerate_class(4, EndoClass.END)
+        s4 = Presentation(
+            ("a0", "b0"), [(("a0",) * 2, ()), (("b0",) * 3, ()), (("a0", "b0") * 4, ())]
+        )
+        swapped = dict(standard_generators(3, EndoClass.END))
+        swapped["a0"], swapped["z"] = swapped["z"], swapped["a0"]
+        c2 = Transformation((1, 0))
+        runs = [
+            (end_star_presentation(3), end3, dict(standard_generators(3, EndoClass.END)),
+             ENOUGH, "verified", 6, None),
+            (end_star_presentation(3), end3, swapped, ENOUGH, "refuted-relations", None, None),
+            (s4, enumerate_class(4, EndoClass.AUT),
+             {"a0": Transformation((0, 2, 1, 3)), "b0": Transformation((0, 2, 3, 1))},
+             ENOUGH, "refuted-size", 24, None),
+            (end_star_presentation(4), end4, dict(standard_generators(4, EndoClass.END)),
+             100, "inconclusive-budget", "exceeded", None),
+            (without_zz(4), end4, dict(standard_generators(4, EndoClass.END)),
+             ENOUGH, "refuted-size", "infinite", {"z": "1"}),
+            (SQUARE, generate([("a", c2)]), {"a": c2, "b": c2 * c2},
+             ENOUGH, "refuted-size", "infinite", {"a": "1/2", "b": "1"}),
+        ]
+        for pres, target, assignment, cap, verdict, size, weight in runs:
+            report = verify_presentation(pres, target, assignment, max_classes=cap)
+            doc = json.loads(json.dumps(report.to_dict()))
+            assert (doc["verdict"], doc["quotient_size"], doc["weight"]) == (verdict, size, weight)
