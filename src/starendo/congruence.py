@@ -31,13 +31,11 @@ runs too, over the union-find of ``presentations._find``) from one fixed
 template in which only the size ``k`` and the letter offsets ``0..k-1`` are
 substituted.  It reads the removed class's row entry by entry at constant
 offsets, with no slice and no loop over the letters.  A run removes nearly
-every class it defines (1,152,891 of 1,230,062 when
-``end_star_presentation(6)`` without its ``z z`` relation runs out of a
-77,168-class budget), and most removed rows hold a single entry, so a slice
-and a loop over k letters per removed class were overhead out of proportion
-to the entries copied.  Its queue rule is the plain loop's: pairs are
-popped last in, first out, the older root is kept, a missing entry is
-copied and a clashing one is queued.
+every class it defines, and most removed rows hold a single entry, so a
+slice and a loop over k letters per removed class were overhead out of
+proportion to the entries copied.  Its queue rule is the plain loop's:
+pairs are popped last in, first out, the older root is kept, a missing
+entry is copied and a clashing one is queued.
 
 A run can also start from a finished table over the first letters of the
 alphabet (``verify`` passes the table of a lower alphabet-prefix level).
@@ -80,9 +78,7 @@ class QuotientStats:
     and ``coincidences`` is how many classes merges removed; the classes
     left alive are ``classes_defined - coincidences``.  A run from a
     starting table counts only the classes it defined past the prefilled
-    ones.  In a ``verify`` report the counters are summed over the
-    alphabet-prefix levels its answer stands on, with the largest
-    ``peak_live``, so the difference is still the final or reached count.
+    ones.
     """
 
     classes_defined: int
@@ -308,16 +304,13 @@ def _standardized(pres: Presentation, max_classes: int, start=None):
     ``array('i')`` is the number of class q followed by letter x.  This is
     the one renumbering of a finished table: ``enumerate_quotient`` builds
     its rows from it, and ``verify`` compares it with the target's walk.
-    Raises AssertionError when a live class is unreachable.
+    Raises AssertionError when a live class is unreachable.  The caller
+    checks ``pres`` and ``max_classes``.
     """
-    _require_presentation(pres)
-    _require_count("max_classes", max_classes)
-    pos = {x: i for i, x in enumerate(pres.alphabet)}
-    relations = [
-        (tuple(pos[x] for x in u), tuple(pos[x] for x in v)) for u, v in pres.relations
-    ]
     k = len(pres.alphabet)
-    table, parent, live, stats = _run_table_enumeration(k, relations, max_classes, start)
+    table, parent, live, stats = _run_table_enumeration(
+        k, pres._int_relations, max_classes, start
+    )
     if table is None:
         return None, live, stats
     root = _find(parent, 0)
@@ -368,6 +361,8 @@ def enumerate_quotient(
     relation at every class before it is returned.  Raises ValueError when
     ``max_classes`` is not an ``int`` (a ``bool`` is not one) of at least 1.
     """
+    _require_presentation(pres)
+    _require_count("max_classes", max_classes)
     flat, size, stats = _standardized(pres, max_classes)
     if flat is None:
         return QuotientExceeded(classes_reached=size, stats=stats)

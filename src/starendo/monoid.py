@@ -11,7 +11,7 @@ the functions that take maps encode the maps they are given.
 A monoid is always the monoid its generators generate.  Everything the
 package derives from them comes from one breadth-first walk of the
 generators from the identity (Froidure-Pin style), run by the constructor
-or by :meth:`generate`: it proves generation, and its tree and table give
+or by :func:`generate`: it proves generation, and its tree and table give
 the witness words, both Cayley tables and the J-classes.  It discovers the
 elements in shortlex order of their witness words (shorter words first,
 generator-list order breaking ties).  The generators are walked once.
@@ -335,40 +335,6 @@ class TransformationMonoid:
         )
 
     @classmethod
-    def generate(
-        cls,
-        named_generators: Sequence[tuple[str, Transformation]],
-        *,
-        max_elements: int = DEFAULT_ELEMENT_BUDGET,
-    ) -> "TransformationMonoid":
-        """Enumerate the monoid generated by the named transformations.
-
-        Elements appear in discovery (shortlex witness) order; the identity
-        is element 0 with the empty witness word even when it is not among
-        the generators.  The closure that lists the elements is the proof
-        that the generators generate them, and the walk the words and the
-        tables come from; it is not run again.  Raises BudgetExceededError
-        past ``max_elements`` elements, and ValueError when that budget is
-        not an ``int`` of at least 1, a generator is not a ``Transformation``,
-        a name is not a ``str`` or two generators share a name.
-        """
-        _require_count("max_elements", max_elements)
-        if not named_generators:
-            raise ValueError("need at least one generator")
-        names, gens = _checked_generators(
-            [nm for nm, _ in named_generators], [t for _, t in named_generators]
-        )
-        degree = gens[0].degree  # the closure rejects generators of another degree
-        found = _closure(degree, [t.images for t in gens], max_elements)
-        if found is None:
-            raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
-        elements, walk = found
-        monoid = cls.__new__(cls)
-        monoid._store(degree, tuple(elements), names, gens)
-        monoid._walk = (range(len(elements)), walk)
-        return monoid
-
-    @classmethod
     def from_elements(
         cls,
         elements: Iterable[Transformation | Sequence[int]],
@@ -391,8 +357,32 @@ def generate(
     *,
     max_elements: int = DEFAULT_ELEMENT_BUDGET,
 ) -> TransformationMonoid:
-    """Module-level alias for :meth:`TransformationMonoid.generate`."""
-    return TransformationMonoid.generate(named_generators, max_elements=max_elements)
+    """Enumerate the monoid generated by the named transformations.
+
+    Elements appear in discovery (shortlex witness) order; the identity
+    is element 0 with the empty witness word even when it is not among
+    the generators.  The closure that lists the elements is the proof
+    that the generators generate them, and the walk the words and the
+    tables come from; it is not run again.  Raises BudgetExceededError
+    past ``max_elements`` elements, and ValueError when that budget is
+    not an ``int`` of at least 1, a generator is not a ``Transformation``,
+    a name is not a ``str`` or two generators share a name.
+    """
+    _require_count("max_elements", max_elements)
+    if not named_generators:
+        raise ValueError("need at least one generator")
+    names, gens = _checked_generators(
+        [nm for nm, _ in named_generators], [t for _, t in named_generators]
+    )
+    degree = gens[0].degree  # the closure rejects generators of another degree
+    found = _closure(degree, [t.images for t in gens], max_elements)
+    if found is None:
+        raise BudgetExceededError(f"monoid closure exceeded element budget {max_elements}")
+    elements, walk = found
+    monoid = TransformationMonoid.__new__(TransformationMonoid)
+    monoid._store(degree, tuple(elements), names, gens)
+    monoid._walk = (range(len(elements)), walk)
+    return monoid
 
 
 def _require_monoid(value: object) -> TransformationMonoid:

@@ -5,6 +5,10 @@ of words over the alphabet; the empty word denotes the identity.  Chained
 equalities u = v = w are stored as adjacent pairs (u, v), (v, w), except
 that chains ending in the identity distribute: u = v = 1 stores (u, 1) and
 (v, 1), which is how those relation families are conventionally quoted.
+A presentation also keeps its relations coded once, each letter by its
+alphabet position, as ``_int_relations``, an attribute that is not a
+field; the enumerator, the word-closure oracle, the weight search and the
+level walk all read that coding.
 
 Builders cover the symmetric group and full/partial transformation monoid
 presentations (the classical Moore / Aizenstat / Popova families) and, on
@@ -55,10 +59,11 @@ class Presentation:
         for x in alphabet:
             if not isinstance(x, str):
                 raise ValueError(f"letter {x!r} is not a string")
-        if len(set(alphabet)) != len(alphabet):
+        position = {x: i for i, x in enumerate(alphabet)}
+        if len(position) != len(alphabet):
             raise ValueError("alphabet has repeated letters")
-        letters = set(alphabet)
-        relations: dict[Relation, None] = {}  # a set that keeps the given order
+        # a set that keeps the given order, each relation mapped to its coding
+        relations: dict[Relation, tuple[IntWord, IntWord]] = {}
         for i, rel in enumerate(given):
             try:
                 u, v = rel
@@ -68,13 +73,14 @@ class Presentation:
             except (TypeError, ValueError):
                 raise ValueError(f"relation {i}: expected a pair of words, got {rel!r}") from None
             for x in u + v:
-                if not isinstance(x, str) or x not in letters:
+                if not isinstance(x, str) or x not in position:
                     raise ValueError(f"letter {x!r} not in alphabet {alphabet}")
             if (u, v) in relations:
                 raise ValueError(f"duplicate relation {u} = {v}")
-            relations[u, v] = None
+            relations[u, v] = tuple(position[x] for x in u), tuple(position[x] for x in v)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "relations", tuple(relations))
+        object.__setattr__(self, "_int_relations", tuple(relations.values()))
 
     def relabel(self, mapping: Mapping[str, str]) -> "Presentation":
         """Rename letters; unmapped letters keep their names.  ValueError for

@@ -1,43 +1,13 @@
 """Guess-and-prove verification of a presentation against a concrete monoid.
 
-A presentation defines a given finite monoid when (1) the chosen generators
-satisfy every relation and (2) the presented quotient's finished table,
-renumbered breadth-first from the class of the empty word, equals entry for
-entry the monoid's breadth-first walk from the identity over the images of
-the letters in alphabet order.  Condition (1) gives a surjection
-[w] -> phi(w) from the quotient onto the monoid.  The enumerator merges only
-congruent words, so the words that reach one class of its table are
-congruent.  Both tables are standardized in Sims' sense, so by (2) class q
-and element q are reached by the same words: words with one image are
-congruent, and the surjection is a bijection, an isomorphism.  (2) also
-implies that every relation u = v holds at every class, since at the class
-of element x both sides reach x*phi(u) = x*phi(v); so ``verify`` runs no
-separate ``CongruenceTable.check``.  A finished table of the target's size
-that differs from the walk, or one smaller than the target, is an engine
-fault and raises AssertionError.  A larger one is checked against every
-relation before it refutes the size.
-
-The finished table comes from ``_level_walk``, which enumerates by
-alphabet-prefix levels (for the star builders Z_2, S_(n-1), T_(n-1), then
-END_n and SWEND_n, or PT_(n-1) and WEND_n), each level's run extending the
-finished table of the level below; the README gives the soundness argument.
-The certificate is the equality above, of the last level's table.
-
-Before any enumeration, a presentation whose relations hold on the
-generators is searched for a relation-invariant weight (Book and Otto,
-*String-Rewriting Systems*, ch. 2): a map w from letters to Q with
-w(u) = w(v) for every relation u = v and w(x) != 0 for some letter x.
-Extended additively to words, w is constant on each congruence class, since
-replacing a side of a relation inside a word keeps its sum, so it is a
-homomorphism from the presented monoid onto a submonoid of (Q, +).  The
-words x^k map to the distinct k*w(x), so the presented monoid is infinite
-and cannot be the finite target: ``refuted-size``, with no enumeration.  The
-weight is found by exact elimination over ``Fraction``s and recounted on
-every relation by a checker that shares no code with the search; a weight
-that fails the recount is an engine fault and raises AssertionError.  The
-same test skips the proper levels of the walk that present infinite
-monoids.  A presentation with no weight may still be infinite, and then
-ends ``inconclusive-budget`` when its run fills the class budget.
+``verify_presentation`` checks the relations on the generators, searches
+for a relation-invariant weight that proves the presented monoid infinite,
+and otherwise enumerates the quotient by alphabet-prefix levels
+(``_level_walk``) and compares its finished table entry for entry with the
+target's breadth-first walk.  The README's verify section gives the
+soundness arguments: why that equality proves the isomorphism, why a level
+may extend the finished table of the level below, and why a weight proves
+the quotient infinite.
 """
 
 from __future__ import annotations
@@ -145,19 +115,19 @@ def _find_weight(pres: Presentation) -> Optional[dict[str, Fraction]]:
     column without a pivot gets weight 1, every later one 0, and each
     pivot's letter is solved from its row.
     """
-    col = {x: i for i, x in enumerate(pres.alphabet)}
+    k = len(pres.alphabet)
     distinct = set()
-    for u, v in pres.relations:
-        row = [0] * len(col)
+    for u, v in pres._int_relations:
+        row = [0] * k
         for x in u:
-            row[col[x]] += 1
+            row[x] += 1
         for x in v:
-            row[col[x]] -= 1
+            row[x] -= 1
         if any(row):
             distinct.add(tuple(row))
     rows = [[Fraction(a) for a in row] for row in distinct]
     pivots = []  # pivots[i] is the column of row i's leading 1
-    for c in range(len(col)):
+    for c in range(k):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
@@ -170,7 +140,7 @@ def _find_weight(pres: Presentation) -> Optional[dict[str, Fraction]]:
                 factor = row[c]
                 rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
         pivots.append(c)
-    free = next((c for c in range(len(col)) if c not in pivots), None)
+    free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         return None
     weight = {pres.alphabet[free]: Fraction(1)}
@@ -224,8 +194,7 @@ def _level_walk(pres: Presentation, max_classes: int, level_cap: int):
     ``peak_live`` over the levels the table stands on, so
     ``classes_defined - coincidences`` is its live count.
     """
-    pos = {x: i for i, x in enumerate(pres.alphabet)}
-    reach = [max(map(pos.__getitem__, u + v), default=-1) for u, v in pres.relations]
+    reach = [max(u + v, default=-1) for u, v in pres._int_relations]
     levels, start = [], None
     for i in range(1, len(pres.alphabet)):
         level = Presentation(

@@ -117,12 +117,7 @@ class _WordClosure:
     def __init__(self, pres: Presentation, max_words: int):
         k = self.k = len(pres.alphabet)
         self.max_words = max_words
-        index = {x: i for i, x in enumerate(pres.alphabet)}
-        n_slots, programs = _compile_traces([
-            (tuple(index[x] for x in u), tuple(index[x] for x in v))
-            for u, v in pres.relations
-            if u != v
-        ])
+        n_slots, programs = _compile_traces([(u, v) for u, v in pres._int_relations if u != v])
         # side v's last letter is one more step, a segment into one more slot
         self.programs = [
             (segments + ((b, (last,), n_slots),), a, n_slots)

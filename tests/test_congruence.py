@@ -39,6 +39,7 @@ from starendo import (
     word_closure_size,
     Verdict,
 )
+import starendo.congruence as congruence_module
 import starendo.monoid as monoid_module
 import starendo.verify as verify_module
 from starendo.congruence import _standardized
@@ -335,6 +336,20 @@ class TestEnumerateQuotient:
         table = enumerate_quotient(Presentation((), ()), max_classes=1)
         assert table.size == 1 and table.right_mult == ((),)
         assert table.representative_words == ((),)
+
+    def test_unreachable_class_is_an_engine_fault(self, monkeypatch):
+        real = congruence_module._run_table_enumeration
+
+        def with_orphan(n_letters, *args):
+            table, parent, live, stats = real(n_letters, *args)
+            orphan = len(parent)
+            parent.append(orphan)
+            table += [orphan] * n_letters
+            return table, parent, live + 1, stats
+
+        monkeypatch.setattr(congruence_module, "_run_table_enumeration", with_orphan)
+        with pytest.raises(AssertionError, match="unreachable classes"):
+            enumerate_quotient(sym_presentation(3), max_classes=1000)
 
     def test_free_monoid_exceeds(self):
         res = enumerate_quotient(Presentation(("a",), []), max_classes=8192)
@@ -851,6 +866,31 @@ class TestLevelWalk:
         assert report.verdict is Verdict.VERIFIED
         level_cap = verify_module.LEVEL_CAP_FACTOR * 88
         assert runs == [(pres.alphabet[:2], level_cap, False), (pres.alphabet, ENOUGH, True)]
+
+    @settings(deadline=None)
+    @given(drawn_presentations(1, 4))
+    def test_drawn_walk_equals_the_plain_table(self, pres):
+        plain, plain_size, _ = _standardized(pres, 3000)
+        if plain is not None:
+            flat, size, _ = verify_module._level_walk(pres, 3000, 3000)
+            assert flat == plain and size == plain_size
+
+    def test_run_from_a_table_over_fewer_letters(self, monkeypatch):
+        # <a, x, b | aa = 1, x = bb, bbb = 1, ab = ba> is the cyclic group of
+        # order 6; its level <a, x | aa = 1> has the weight w(x) = 1, so the
+        # last run starts from the 2-class table of <a | aa = 1>, over one letter
+        pres = Presentation(
+            ("a", "x", "b"),
+            [(("a", "a"), ()), (("x",), ("b", "b")), (("b",) * 3, ()),
+             (("a", "b"), ("b", "a"))],
+        )
+        a, b = Transformation((1, 0, 2, 3, 4)), Transformation((0, 1, 3, 4, 2))
+        target = generate([("a", a), ("b", b)])
+        runs = counted_runs(monkeypatch)
+        report = verify_presentation(pres, target, {"a": a, "x": b * b, "b": b},
+                                     max_classes=1000)
+        assert report.verdict is Verdict.VERIFIED
+        assert runs == [(("a",), 384, True), (("a", "x", "b"), 1000, True)]
 
 
 class TestWeight:

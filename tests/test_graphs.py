@@ -74,6 +74,9 @@ class TestGraphs:
         g = SimpleGraph(3, [(2, 0), (0, 2)])
         assert g.edges == {(0, 2)}
         assert g.has_edge(2, 0)
+        h = SimpleGraph(3, [(2, 0)])
+        assert h == SimpleGraph(3, [(0, 2)]) and hash(h) == hash(SimpleGraph(3, [(0, 2)]))
+        assert h != star_graph(3)
 
 
 class TestClassify:

@@ -6,7 +6,9 @@ of units, and if some element moves the hub (vertex 0) then so must some
 generator, because products of hub-fixing maps fix the hub.
 """
 
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,7 @@ from starendo import (
     rank_exact,
     standard_generators,
 )
+import starendo.monoid as monoid_module
 from starendo.monoid import _generates_exactly
 
 
@@ -127,6 +130,19 @@ def test_misdeclared_generators_are_rejected(gens):
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceededError):
         rank_exact(enumerate_class(4, EndoClass.WEAK_END), 5, time_budget_s=0.0)
+
+
+def test_subset_loop_checks_the_deadline(monkeypatch):
+    # the clock reads 0 until the subset loop of one J-class reads it (the
+    # loop counts its subsets in ``tried``), and expires there: only the
+    # loop's own check can stop the search
+    def monotonic():
+        return 1e9 if "tried" in sys._getframe(1).f_locals else 0.0
+
+    monkeypatch.setattr(monoid_module, "time", SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExceededError) as raised:
+        rank_exact(enumerate_class(5, EndoClass.WEAK_END), 5)
+    assert raised.traceback[-1].locals["tried"] == 64
 
 
 def test_time_budget_must_be_a_number_at_least_zero():

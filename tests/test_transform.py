@@ -244,14 +244,16 @@ def test_entry_points_reject_what_is_not_a_monoid(call):
     "call",
     [
         lambda: enumerate_quotient("x", max_classes=5),
+        lambda: enumerate_quotient("x", max_classes=0),
         lambda: word_closure("x"),
         lambda: word_closure_size(("a",)),
         lambda: verify_presentation("x", _S2, {"a": T(1, 0)}, max_classes=10),
         lambda: satisfies_relations({}, "x"),
         lambda: presentation_to_json("x"),
     ],
-    ids=["enumerate_quotient", "word_closure", "word_closure_size", "verify_presentation",
-         "satisfies_relations", "presentation_to_json"],
+    ids=["enumerate_quotient", "enumerate_quotient_before_its_budget", "word_closure",
+         "word_closure_size", "verify_presentation", "satisfies_relations",
+         "presentation_to_json"],
 )
 def test_entry_points_reject_what_is_not_a_presentation(call):
     with pytest.raises(ValueError, match="not a Presentation"):
