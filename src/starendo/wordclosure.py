@@ -31,8 +31,12 @@ its root, and steps through the signature table.  A missing step registers
 the word and the trace carries on from its class; side v's last letter is
 one more such step, compiled as one more segment.  If the two sides end in
 different classes, the classes merge, which is the rewrite u -> v applied
-at the end of the state's word.  A state that an earlier merge of the same
-scan turned into a non-root is skipped.
+at the end of the state's word.  A word registered by a trace joins the
+scan's states, so the same scan traces the relations from it too, as HLT
+scans each class in the pass that defines it.  The reachability pass's
+words wait for the next scan: that pass merges nothing, so following its
+words would walk the free monoid.  A state that an earlier merge of the
+same scan turned into a non-root is skipped.
 
 The certificate: a scan that registers no word and merges no class has
 found the table complete, reachable from the class of the empty word, and
@@ -49,7 +53,9 @@ letter-by-letter tracing, which walks a shared prefix again after a merge
 and so can register other words.
 Registering more than ``max_words`` words or scanning more than
 ``max_rounds`` times returns None, never a guess; either budget must be an
-``int`` of at least 1, or the run raises ValueError.
+``int`` of at least 1, or the run raises ValueError.  On an infinite
+presentation the first scan keeps tracing the words it registers, so the
+default word budget ends it within seconds, at roughly 70 bytes per word.
 """
 
 from __future__ import annotations
@@ -137,7 +143,8 @@ class _WordClosure:
         A missing extension is registered where it is found, in the
         reachability pass and in the scan: the new node, a root, becomes
         the extension, and registering past ``max_words`` raises
-        ``_OverBudget``.
+        ``_OverBudget``.  A word the relation scan registers is appended to
+        its states and traced from later in the same scan.
         """
         sig, parent, k, blank = self.sig, self.parent, self.k, self.blank
         max_words, merge = self.max_words, self.merge
@@ -181,6 +188,7 @@ class _WordClosure:
                             sig[i] = c
                             sig += blank
                             parent.append(c)
+                            states.append(c)  # traced later in this scan while still a root
                         else:
                             c = parent[n]
                             if c != n and parent[c] != c:

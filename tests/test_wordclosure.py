@@ -313,13 +313,13 @@ class TestCounters:
     def test_end5_literal_stats(self):
         assert word_closure(end_star_presentation(5)) == (
             260,
-            WordClosureStats(words_registered=21220, merges=20960, certify_rounds=5),
+            WordClosureStats(words_registered=11976, merges=11716, certify_rounds=3),
         )
 
     def test_wend5_literal_stats(self):
         assert word_closure(wend_star_presentation(5)) == (
             689,
-            WordClosureStats(words_registered=76236, merges=75547, certify_rounds=6),
+            WordClosureStats(words_registered=58675, merges=57986, certify_rounds=3),
         )
 
 
@@ -335,6 +335,14 @@ class TestCertificate:
             assert scan_size is None and after != before
         before, after, scan_size = closure.scans[-1]
         assert scan_size == size and after == before
+
+    def test_words_registered_in_a_scan_are_traced_in_it(self):
+        # A word the relation scan registers is traced from in the same
+        # scan, so T_4's first scan builds the whole table and the second
+        # only certifies it.
+        closure = _RecordingClosure(full_transf_presentation(4), 2_000_000)
+        assert closure.run(10_000) == 256
+        assert [scan_size for _, _, scan_size in closure.scans] == [None, 256]
 
     @pytest.mark.parametrize("name", ["end4", "wend4", "T4", "PT3"])
     def test_a_word_is_registered_only_as_a_missing_extension(self, name):
@@ -368,6 +376,8 @@ class TestCertificate:
 
 
 COMMUTATIVE = Presentation(("x", "y"), [(("x", "y"), ("y", "x"))])
+# infinite: both relations keep a word's length, so no two powers of x meet
+SQUARES = Presentation(("x", "y"), [(("x", "x"), ("y", "y")), (("x", "x"), ("y", "x"))])
 
 
 class TestBudget:
@@ -377,11 +387,25 @@ class TestBudget:
         assert size is None
         assert stats.words_registered <= max_words + 1
 
-    @pytest.mark.parametrize("max_words", [1, 100, 5000, 30_000])
+    def test_infinite_monoid_ends_in_its_first_scan(self):
+        # The relation scan traces the words it registers, so on an
+        # infinite presentation the first scan runs on until the word
+        # budget stops it, instead of registering a few words per scan.
+        size, stats = word_closure(SQUARES, max_words=100_000)
+        assert size is None and stats.certify_rounds == 0
+        assert stats.words_registered == 100_000
+
+    @pytest.mark.parametrize("max_words", [1, 100, 5000])
     def test_pt4_stops_at_the_word_budget(self, max_words):
         size, stats = word_closure(partial_transf_presentation(4), max_words=max_words)
         assert size is None
         assert stats.words_registered <= max_words + 1
+
+    def test_pt4_budget_is_exact(self):
+        pres = partial_transf_presentation(4)
+        size, stats = word_closure(pres)
+        assert word_closure(pres, max_words=stats.words_registered)[0] == size == 625
+        assert word_closure(pres, max_words=stats.words_registered - 1)[0] is None
 
     @pytest.mark.parametrize("name", ["end4", "wend4", "T4", "PT3"])
     @pytest.mark.parametrize("extra", [1, 2, 10])
